@@ -65,7 +65,8 @@ def ingest_ledger(store, ledger) -> IngestResult:
     if ledger.meta is not None:
         store.bind_meta(ledger.meta)
     keys = ledger.keys()
-    pending = [key for key in keys if not store.has(key)]
+    stored = store.commit_ids()
+    pending = [key for key in keys if key not in stored]
     result = store.ingest_batch([ledger.get(key) for key in pending])
     store.set_lag(0)
     return dataclasses.replace(

@@ -125,6 +125,11 @@ class VerdictStore:
             "SELECT 1 FROM verdicts WHERE commit_id = ?",
             (commit_id,)).fetchone() is not None
 
+    def commit_ids(self) -> set[str]:
+        """The commit ids of every stored verdict, in one query."""
+        return {row[0] for row in self._conn.execute(
+            "SELECT commit_id FROM verdicts")}
+
     def get(self, commit_id: str) -> dict | None:
         """The full canonical record for one commit (None when absent)."""
         import json

@@ -12,6 +12,8 @@ Mirrors the git operations the paper's pipeline performs:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
+from typing import Iterator
 
 from repro.errors import VcsError
 from repro.vcs.diff import FileDiff, Patch, apply_file_diff, diff_texts
@@ -33,7 +35,23 @@ class Repository:
     def __init__(self) -> None:
         self._commits: dict[str, Commit] = {}
         self._order: list[str] = []   # commit ids in topological (apply) order
+        self._position: dict[str, int] = {}   # commit id -> index in _order
         self._tags: dict[str, str] = {}
+        # (commit id, ignore_whitespace) -> the Patch show() returned
+        self._patches: dict[tuple[str, bool], Patch] = {}
+
+    def __getstate__(self) -> dict:
+        # spawned transport workers receive whole corpora: ship only the
+        # history and rebuild the index and patch memo on the other side
+        state = self.__dict__.copy()
+        del state["_position"], state["_patches"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._position = {commit_id: index
+                          for index, commit_id in enumerate(self._order)}
+        self._patches = {}
 
     # -- writing history -------------------------------------------------
 
@@ -47,10 +65,12 @@ class Repository:
                 raise VcsError(f"unknown parent commit: {parent}")
         commit = Commit(tree=tree, author=author, message=message,
                         parents=parents)
-        if commit.id in self._commits:
-            raise VcsError(f"duplicate commit: {commit.id}")
-        self._commits[commit.id] = commit
-        self._order.append(commit.id)
+        commit_id = commit.id
+        if commit_id in self._commits:
+            raise VcsError(f"duplicate commit: {commit_id}")
+        self._commits[commit_id] = commit
+        self._position[commit_id] = len(self._order)
+        self._order.append(commit_id)
         return commit
 
     def tag(self, name: str, commit_id: str) -> None:
@@ -98,17 +118,22 @@ class Repository:
         first parent modifies at least one file that exists on both sides
         and differs (under ``-w`` whitespace-insensitivity when enabled).
         """
+        start = self._position_after(since)
+        end = None if until is None else self._position_after(until)
+        return list(self._filtered(start, end, options, author))
+
+    def _position_after(self, ref: str | None) -> int:
+        """Index in apply order just past ``ref``; 0 when it is None."""
+        if ref is None:
+            return 0
+        return self._position[self.resolve(ref).id] + 1
+
+    def _filtered(self, start: int, end: int | None,
+                  options: LogOptions | None,
+                  author: str | None = None) -> Iterator[Commit]:
+        """Commits of ``_order[start:end]`` that pass the log filters."""
         options = options or LogOptions()
-        start_index = 0
-        if since is not None:
-            since_id = self.resolve(since).id
-            start_index = self._order.index(since_id) + 1
-        end_index = len(self._order)
-        if until is not None:
-            until_id = self.resolve(until).id
-            end_index = self._order.index(until_id) + 1
-        selected: list[Commit] = []
-        for commit_id in self._order[start_index:end_index]:
+        for commit_id in islice(self._order, start, end):
             commit = self._commits[commit_id]
             if author is not None and author not in (
                     commit.author.name, commit.author.email):
@@ -119,8 +144,7 @@ class Repository:
                 patch = self.show(commit, ignore_whitespace=options.ignore_whitespace)
                 if not patch.files:
                     continue
-            selected.append(commit)
-        return selected
+            yield commit
 
     def commits_after(self, cursor: str | None = None,
                       options: LogOptions | None = None,
@@ -134,12 +158,15 @@ class Repository:
         one as the next cursor. New commits appended to the repository
         between calls show up on the next pull, so a live stream and a
         fixed backlog are the same API.
+
+        The walk stops at the ``limit``-th commit that passes, so a pull
+        costs the commits it walks, not the whole remaining stream.
         """
         if limit is not None and limit < 1:
             raise VcsError(
                 f"commits_after limit must be positive, got {limit!r}")
-        stream = self.log(since=cursor, options=options)
-        return stream if limit is None else stream[:limit]
+        stream = self._filtered(self._position_after(cursor), None, options)
+        return list(islice(stream, limit))
 
     def show(self, commit: Commit | str,
              ignore_whitespace: bool = True) -> Patch:
@@ -147,9 +174,22 @@ class Repository:
 
         Only *modified* files appear (``--diff-filter=M``): files that
         exist in both the parent and the commit tree with differing text.
+
+        A commit's patch is a pure function of its content-addressed id,
+        so each ``(commit id, ignore_whitespace)`` pair is diffed once
+        and every later call returns the same :class:`Patch` object.
+        That object is shared by every caller: read it, never mutate it.
         """
         if isinstance(commit, str):
             commit = self.resolve(commit)
+        key = (commit.id, ignore_whitespace)
+        patch = self._patches.get(key)
+        if patch is None:
+            patch = self._patches[key] = self._diff(commit, ignore_whitespace)
+        return patch
+
+    def _diff(self, commit: Commit, ignore_whitespace: bool) -> Patch:
+        """Diff a commit's tree against its first parent's."""
         old_tree = self.parent_tree(commit)
         new_tree = commit.tree
         patch = Patch()

@@ -103,6 +103,33 @@ class TestJournalToStoreRoundTrip:
                 api.ingest_ledger(fresh, ledger)
             assert dump_after == fresh.canonical_dump()
 
+    def test_ingest_probes_the_store_once_per_pass(
+            self, journaled, store_path, monkeypatch):
+        """A pass reads the stored ids in one query, not one per key."""
+        path, originals = journaled
+        passes = []
+        commit_ids = api.VerdictStore.commit_ids
+
+        def counted_commit_ids(store):
+            passes.append(store)
+            return commit_ids(store)
+
+        def per_key_probe(store, commit_id):
+            raise AssertionError(f"per-key probe of {commit_id}")
+
+        monkeypatch.setattr(api.VerdictStore, "commit_ids",
+                            counted_commit_ids)
+        monkeypatch.setattr(api.VerdictStore, "has", per_key_probe)
+        with api.open_store(store_path) as store:
+            store.ingest_batch([originals["v4-ok"]])
+            results = []
+            for _ in range(2):
+                with VerdictLedger(path, fsync=False) as ledger:
+                    results.append(api.ingest_ledger(store, ledger))
+        assert len(passes) == 2
+        assert [(r.ingested, r.skipped_stored) for r in results] == \
+            [(len(originals) - 1, 1), (0, len(originals))]
+
     def test_store_inherits_the_ledger_identity(self, journaled,
                                                 store_path):
         path, _ = journaled

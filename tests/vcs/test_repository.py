@@ -1,7 +1,10 @@
 """Tests for repository history, log filtering, and worktrees."""
 
+import pickle
+
 import pytest
 
+import repro.vcs.repository
 from repro.errors import VcsError
 from repro.vcs.diff import diff_texts, Patch
 from repro.vcs.objects import Signature, Tree
@@ -35,6 +38,38 @@ def repo_with_history():
     c4 = repo.commit(t4, sig("Dan"), "modify c.c")
     repo.tag("v4.4", c4.id)
     return repo, (c0, c1, c2, merge, c3, c4)
+
+
+def long_history(length=40):
+    """A root commit, then ``length`` commits modifying one file each.
+
+    Every fifth commit only reformats its file, so ``-w`` filters it
+    out of the stream; every commit still has exactly one file whose
+    text differs from its parent's.
+    """
+    repo = Repository()
+    files = {f"f{n}.c": f"int f{n};\n" for n in range(4)}
+    tree = Tree(files)
+    repo.commit(tree, sig("Base"), "initial")
+    for index in range(length):
+        path = f"f{index % 4}.c"
+        text = tree[path]
+        text = text.replace(" ", "  ", 1) if index % 5 == 4 \
+            else f"int v{index};\n"
+        tree = tree.with_files({path: text})
+        repo.commit(tree, sig(f"Dev{index % 3}"), f"change {index}")
+    return repo
+
+
+def drain(repo, limit):
+    """Every stream commit, pulled ``limit`` at a time."""
+    cursor, seen = None, []
+    while True:
+        pulled = repo.commits_after(cursor, limit=limit)
+        if not pulled:
+            return seen
+        seen.extend(pulled)
+        cursor = pulled[-1].id
 
 
 class TestCommitGraph:
@@ -136,6 +171,37 @@ class TestCommitsAfter:
             cursor = pulled[-1].id
         assert seen == [c.id for c in repo.log()]
 
+    def test_unknown_cursor_raises(self, repo_with_history):
+        repo, _ = repo_with_history
+        with pytest.raises(VcsError, match="unknown ref"):
+            repo.commits_after("zzzz")
+
+    @pytest.mark.parametrize("limit", [1, 8])
+    def test_draining_walks_and_diffs_each_commit_once(self, monkeypatch,
+                                                       limit):
+        """A pull stops at its limit instead of walking the rest of the
+        stream, and no commit is diffed twice."""
+        repo = long_history()
+        walked, diffed = [], []
+        show = Repository.show
+
+        def counting_show(self, commit, *args, **kwargs):
+            walked.append(commit.id)
+            return show(self, commit, *args, **kwargs)
+
+        def counting_diff_texts(path, *args, **kwargs):
+            diffed.append(path)
+            return diff_texts(path, *args, **kwargs)
+
+        monkeypatch.setattr(Repository, "show", counting_show)
+        monkeypatch.setattr(repro.vcs.repository, "diff_texts",
+                            counting_diff_texts)
+        seen = drain(repo, limit)
+        assert len(walked) == len(repo)
+        # the root commit has no parent to diff against
+        assert len(diffed) == len(repo) - 1
+        assert [c.id for c in seen] == [c.id for c in repo.log()]
+
     def test_new_commits_show_up_on_the_next_pull(self,
                                                   repo_with_history):
         repo, commits = repo_with_history
@@ -162,6 +228,49 @@ class TestShow:
     def test_show_root_commit_has_no_modifications(self, repo_with_history):
         repo, commits = repo_with_history
         assert repo.show(commits[0]).files == []
+
+
+class TestShowMemo:
+    """``show`` diffs each (commit, -w flag) once and shares the patch."""
+
+    def test_repeated_show_returns_the_same_object(self,
+                                                    repo_with_history):
+        repo, commits = repo_with_history
+        assert repo.show(commits[1]) is repo.show(commits[1])
+
+    def test_commit_and_ref_share_one_entry(self, repo_with_history):
+        repo, commits = repo_with_history
+        patch = repo.show(commits[1])
+        assert repo.show(commits[1].id) is patch
+        assert repo.show(commits[1].id[:12]) is patch
+
+    @pytest.mark.parametrize("whitespace_first", [True, False])
+    def test_whitespace_flag_keys_its_own_entry(self, repo_with_history,
+                                                whitespace_first):
+        repo, commits = repo_with_history
+        reformat = commits[2]
+        if whitespace_first:
+            exact = repo.show(reformat, ignore_whitespace=False)
+            ignoring = repo.show(reformat)
+        else:
+            ignoring = repo.show(reformat)
+            exact = repo.show(reformat, ignore_whitespace=False)
+        assert ignoring.files == []
+        assert exact.paths() == ["b.c"]
+
+    def test_pickle_drops_the_memo(self):
+        """A corpus shipped to spawned workers carries no patches."""
+        fresh, shown = long_history(), long_history()
+        keys = [(commit_id, ignore_whitespace)
+                for commit_id in shown._order
+                for ignore_whitespace in (True, False)]
+        patches = [shown.show(*key).render() for key in keys]
+        payload = pickle.dumps(shown)
+        assert len(payload) <= len(pickle.dumps(fresh))
+        clone = pickle.loads(payload)
+        assert [clone.show(*key).render() for key in keys] == patches
+        assert [c.id for c in clone.commits_after(shown._order[3])] == \
+            [c.id for c in shown.commits_after(shown._order[3])]
 
 
 class TestWorktree:
