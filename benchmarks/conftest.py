@@ -15,7 +15,7 @@ import pathlib
 
 import pytest
 
-from repro.evalsuite.runner import EvaluationRunner
+from repro.evalsuite.runner import EvaluationSession
 from repro.workload.corpus import CorpusSpec, build_corpus
 
 ARTIFACTS = pathlib.Path(__file__).parent / "artifacts"
@@ -36,7 +36,7 @@ def bench_corpus():
 
 @pytest.fixture(scope="session")
 def bench_result(bench_corpus):
-    return EvaluationRunner(bench_corpus).run()
+    return EvaluationSession(bench_corpus).run()
 
 
 @pytest.fixture(scope="session")

@@ -11,7 +11,7 @@ import pytest
 
 from repro.core.jmake import JMakeOptions
 from repro.core.report import FileStatus
-from repro.evalsuite.runner import EvaluationRunner
+from repro.evalsuite.runner import EvaluationSession
 from repro.kernel.layout import HazardKind
 
 LIMIT = 160
@@ -19,11 +19,11 @@ LIMIT = 160
 
 @pytest.fixture(scope="module")
 def baseline(bench_corpus):
-    return EvaluationRunner(bench_corpus).run(limit=LIMIT)
+    return EvaluationSession(bench_corpus).run(limit=LIMIT)
 
 
 def run_with_allmod(corpus):
-    runner = EvaluationRunner(
+    runner = EvaluationSession(
         corpus, options=JMakeOptions(use_allmodconfig=True))
     return runner.run(limit=LIMIT)
 

@@ -11,13 +11,13 @@ import pytest
 
 from repro.core.jmake import JMakeOptions
 from repro.core.report import FileStatus
-from repro.evalsuite.runner import EvaluationRunner
+from repro.evalsuite.runner import EvaluationSession
 
 LIMIT = 160
 
 
 def run_with_cap(corpus, cap):
-    runner = EvaluationRunner(
+    runner = EvaluationSession(
         corpus, options=JMakeOptions(hfile_candidate_cap=cap))
     return runner.run(limit=LIMIT)
 

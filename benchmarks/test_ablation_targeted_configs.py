@@ -12,7 +12,7 @@ import pytest
 
 from repro.core.jmake import JMakeOptions
 from repro.core.report import FileStatus
-from repro.evalsuite.runner import EvaluationRunner
+from repro.evalsuite.runner import EvaluationSession
 from repro.kernel.layout import HazardKind
 
 LIMIT = 160
@@ -26,7 +26,7 @@ HOPELESS = {HazardKind.NEVER_SET, HazardKind.IF_ZERO,
 
 
 def run(corpus, extended):
-    runner = EvaluationRunner(
+    runner = EvaluationSession(
         corpus, options=JMakeOptions(use_targeted_configs=extended))
     return runner.run(limit=LIMIT)
 

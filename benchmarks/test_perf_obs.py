@@ -22,7 +22,7 @@ import time
 import pytest
 
 from benchmarks.calibration import calibrate, stage, time_best
-from repro.evalsuite.runner import EvaluationRunner
+from repro.evalsuite.runner import EvaluationSession
 from repro.obs.events import NULL_EVENTS, EventLog
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.sinks import (
@@ -55,7 +55,7 @@ def obs_corpus():
 
 def _timed_run(corpus, observe):
     t0 = time.perf_counter()
-    result = EvaluationRunner(corpus, cache=False, observe=observe).run()
+    result = EvaluationSession(corpus, cache=False, observe=observe).run()
     return result, time.perf_counter() - t0
 
 

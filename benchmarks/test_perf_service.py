@@ -24,11 +24,8 @@ from benchmarks.calibration import calibrate, stage
 from repro.buildcache.cache import BuildCache
 from repro.core.changes import extract_changed_files
 from repro.core.jmake import CheckSession
-from repro.service import (
-    CheckRequest,
-    CheckService,
-    ServiceConfig,
-)
+from repro.service.request import CheckRequest
+from repro.service.service import CheckService, ServiceConfig
 from repro.workload.corpus import Corpus
 
 CONCURRENT_REQUESTS = 8

@@ -19,7 +19,7 @@ import json
 import pytest
 
 from benchmarks.calibration import calibrate, stage, time_best
-from repro.core.jmake import JMake
+from repro.core.jmake import CheckSession
 from repro.cpp import prepared
 from repro.cpp.lexer import CommentStripper, tokenize
 from repro.cpp.macro import MacroTable
@@ -62,7 +62,7 @@ def test_perf_allyesconfig_solve(benchmark, tree):
 
 
 def test_perf_jmake_check_patch(benchmark, tree):
-    jmake = JMake.from_generated_tree(tree)
+    jmake = CheckSession.from_generated_tree(tree)
     path = "fs/ext4/ext40.c"
     original = tree.files[path]
     edited = original.replace("int status = 0;", "int status = 7;")
@@ -71,7 +71,7 @@ def test_perf_jmake_check_patch(benchmark, tree):
     patch = Patch(files=[diff_texts(path, original, edited)])
 
     def check():
-        worktree = JMake.worktree_for_files(files)
+        worktree = CheckSession.worktree_for_files(files)
         return jmake.check_patch(worktree, patch)
 
     report = benchmark(check)

@@ -4,43 +4,17 @@ Reproduction of Lawall & Muller, *JMake: Dependable Compilation for
 Kernel Janitors* (DSN 2017), with every substrate implemented in pure
 Python. See README.md for a tour and DESIGN.md for the inventory.
 
-The most common entry points:
+Callers import from :mod:`repro.api`, the one public surface; the
+subpackages define the implementation and re-export nothing:
 
->>> from repro import JMake, generate_tree
->>> tree = generate_tree()
->>> jmake = JMake.from_generated_tree(tree)
+>>> from repro import api
+>>> tree = api.generate_tree()
+>>> session = api.CheckSession.from_generated_tree(tree)
 
 and, for the evaluation pipeline:
 
->>> from repro import CorpusSpec, EvaluationRunner, build_corpus
->>> corpus = build_corpus(CorpusSpec(eval_commits=100))
->>> result = EvaluationRunner(corpus).run()
+>>> corpus = api.build_corpus(api.CorpusSpec(eval_commits=100))
+>>> result = api.EvaluationSession(corpus).run()
 """
 
-from repro.core.jmake import JMake, JMakeOptions
-from repro.core.report import FileReport, FileStatus, PatchReport
-from repro.evalsuite.runner import EvaluationResult, EvaluationRunner
-from repro.kernel.generator import GeneratedTree, generate_tree
-from repro.kernel.layout import HazardKind, TreeSpec, default_tree_spec
-from repro.workload.corpus import Corpus, CorpusSpec, build_corpus
-
 __version__ = "1.0.0"
-
-__all__ = [
-    "Corpus",
-    "CorpusSpec",
-    "EvaluationResult",
-    "EvaluationRunner",
-    "FileReport",
-    "FileStatus",
-    "GeneratedTree",
-    "HazardKind",
-    "JMake",
-    "JMakeOptions",
-    "PatchReport",
-    "TreeSpec",
-    "__version__",
-    "build_corpus",
-    "default_tree_spec",
-    "generate_tree",
-]

@@ -9,17 +9,3 @@
   small configuration set that covers a file's conditional branches,
   usable as JMake's §VII configuration-generation extension.
 """
-
-from repro.analysis.blocks import BlockCondition, ConditionalBlock, extract_blocks
-from repro.analysis.covergen import covering_configs
-from repro.analysis.deadblocks import BlockVerdict, DeadBlockAnalyzer
-
-__all__ = [
-    "BlockCondition",
-    "BlockVerdict",
-    "ConditionalBlock",
-    "DeadBlockAnalyzer",
-    "ConditionalBlock",
-    "covering_configs",
-    "extract_blocks",
-]

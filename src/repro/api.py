@@ -3,7 +3,9 @@
 ``repro.api`` is the only supported import surface: the CLI and every
 example script import from here, and anything importable from this
 module follows the serialized-record ``schema_version`` compatibility
-story (see :data:`SCHEMA_VERSION` / :func:`migrate_record`).
+story (see :data:`SCHEMA_VERSION` / :func:`migrate_record`). The
+subpackages re-export nothing; everything not listed in ``__all__``
+stays importable from its defining module.
 
 Four tiers:
 
@@ -18,166 +20,94 @@ Four tiers:
   :class:`EvaluationSession`, :class:`CheckService`,
   :class:`WatchSession` for callers that hold state across many
   checks;
-- **re-exports** — the data types and helpers user scripts legitimately
-  touch (reports, corpus construction, tables/figures, observability,
-  fault plans, store filters).
-
-The old scattered entry points (``repro.core.jmake.JMake``,
-``repro.evalsuite.runner.EvaluationRunner``, and direct
-``repro.service``/``repro.journal`` access to the watch/store types)
-still work but emit ``DeprecationWarning``.
+- **re-exports** — the data types and helpers the CLI, the examples
+  and the test suites reach through this module (corpus construction,
+  tables/figures, observability, fault plans, store filters).
 """
 
 from __future__ import annotations
+
+from typing import TYPE_CHECKING
 
 # -- the facade's own imports (public re-export surface) ----------------------
 
 from repro.analysis.deadblocks import BlockVerdict, DeadBlockAnalyzer
 from repro.buildcache.cache import BuildCache, CachePolicy
 from repro.core.changes import extract_changed_files
-from repro.core.jmake import CheckSession, JMake, JMakeOptions
+from repro.core.jmake import CheckSession, JMakeOptions
 from repro.core.mutation import MutationEngine, MutationOverlay
-from repro.core.report import (
-    SCHEMA_VERSION,
-    FileReport,
-    FileStatus,
-    PatchReport,
-    migrate_record,
-)
-from repro.core.units import UnitDag, WorkUnit, run_units
+from repro.core.report import SCHEMA_VERSION, migrate_record
+from repro.cpp.prepared import collect_metrics as collect_substrate_metrics
 from repro.errors import (
     AuthError,
     CorpusMismatchError,
     FaultPlanError,
-    FrameCorruptError,
-    FrameTooLargeError,
-    FrameTruncatedError,
-    JournalCorruptError,
     JournalError,
-    ReproError,
-    SchemaError,
-    StoreError,
-    ServiceDrainingError,
-    ServiceError,
-    ServiceOverloadedError,
-    ServiceOverloadError,
     SimulatedCrashError,
+    StoreError,
     TransportError,
     VcsError,
-    WireError,
-    WireSchemaError,
-    WorkerCrashError,
-    WorkerLostError,
 )
 from repro.evalsuite.experiments import EXPERIMENTS
 from repro.evalsuite.figures import figure5_overall
 from repro.evalsuite.reportdoc import write_markdown_report
-from repro.evalsuite.runner import (
-    EvaluationResult,
-    EvaluationRunner,
-    EvaluationSession,
-    scaled_criteria,
-)
+from repro.evalsuite.runner import EvaluationSession, scaled_criteria
 from repro.evalsuite.tables import table1, table2, table3, table4
-from repro.faults.chaos import (
-    CrashPoint,
-    crash_offsets,
-    transport_chaos_plan,
-)
+from repro.faults.chaos import CrashPoint
 from repro.faults.inject import FaultInjector, NULL_INJECTOR
 from repro.faults.plan import FaultPlan
 from repro.faults.resilience import RetryPolicy
-from repro.journal import Journal, ReplayResult, VerdictLedger
 from repro.janitors.activity import ActivityAnalyzer
 from repro.janitors.identify import JanitorFinder
+from repro.journal.ledger import VerdictLedger
 from repro.kbuild.build import BuildSystem
 from repro.kconfig.ast import Tristate
 from repro.kconfig.configfile import Config
 from repro.kernel.generator import generate_tree
 from repro.kernel.layout import HazardKind
-from repro.cpp.prepared import (
-    collect_metrics as collect_substrate_metrics,
-    set_event_hook as set_substrate_event_hook,
-)
-from repro.obs.events import (
-    EVENT_FASTPATH_CHANGED,
-    EVENT_KINDS,
-    EVENT_SCHEMA_VERSION,
-    Event,
-    EventLog,
-    NullEventLog,
-    validate_event_record,
-)
-from repro.obs.export import (
-    render_span_tree,
-    span_count,
-    write_chrome_trace,
-)
+from repro.obs.events import EventLog, validate_event_record
+from repro.obs.export import render_span_tree, span_count, write_chrome_trace
 from repro.obs.logcfg import LEVELS, configure_logging
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.sinks import (
-    CallbackSink,
     JsonlSink,
     OpenMetricsSink,
     parse_openmetrics,
     read_jsonl,
-    render_openmetrics,
-    sanitized_metrics,
 )
 from repro.obs.timeseries import (
-    SNAPSHOT_SCHEMA_VERSION,
-    MetricsSnapshot,
-    SnapshotRing,
     Snapshotter,
     histogram_quantiles,
-    registry_from_dict,
     validate_snapshot_record,
 )
 from repro.obs.tracer import Tracer
-from repro.service import (
-    START_METHODS,
-    TRANSPORT_KINDS,
-    CheckRequest,
-    CheckResult,
-    CheckService,
-    ServiceConfig,
-    ShardSupervisor,
-    SupervisorConfig,
-    TransportOutcome,
-    live_transports,
-)
-from repro.service.transport import wire
+from repro.service.service import CheckService, ServiceConfig
 from repro.service.transport.client import ReconnectPolicy, WorkerClient
 from repro.service.watch import (
     SyntheticTrafficSource,
     WatchConfig,
-    WatchResult,
     WatchSession,
     WindowSource,
 )
 from repro.service.watch import watch as _watch
-from repro.store import (
-    STORE_SCHEMA_VERSION,
-    VERDICT_KINDS,
-    FileVerdictRow,
-    IngestResult,
-    JanitorViewCriteria,
-    JanitorViewRow,
-    StoredVerdict,
-    VerdictFilter,
-    VerdictStore,
-    ingest_ledger,
-)
-from repro.util.atomicio import (
-    atomic_write_bytes,
-    atomic_write_json,
-    atomic_write_text,
-)
+from repro.store.ingest import ingest_ledger
+from repro.store.matview import JanitorViewCriteria
+from repro.store.query import StoredVerdict, VerdictFilter
+from repro.store.store import VerdictStore
+from repro.util.atomicio import atomic_write_json, atomic_write_text
 from repro.util.rng import DeterministicRng
+from repro.util.validate import validate_jobs
 from repro.vcs.diff import Patch, diff_texts
-from repro.vcs.repository import Repository, Worktree
+from repro.vcs.repository import Repository
 from repro.workload.corpus import Corpus, CorpusSpec, build_corpus
 from repro.workload.personas import PersonaKind
+
+if TYPE_CHECKING:
+    from repro.core.report import PatchReport
+    from repro.evalsuite.runner import EvaluationResult
+    from repro.service.watch import WatchResult
+    from repro.store.matview import JanitorViewRow
+    from repro.vcs.repository import Worktree
 
 __all__ = [
     # functions
@@ -185,81 +115,38 @@ __all__ = [
     "resolve_outputs", "OUT_DIR_DEFAULTS",
     # the fleet-mode read surface (store + watch)
     "open_store", "query_verdicts", "janitor_report", "watch",
-    "VerdictStore", "VerdictFilter", "StoredVerdict", "FileVerdictRow",
-    "IngestResult", "JanitorViewCriteria", "JanitorViewRow",
-    "STORE_SCHEMA_VERSION", "VERDICT_KINDS", "StoreError",
-    "ingest_ledger",
-    "WatchSession", "WatchConfig", "WatchResult", "WindowSource",
+    "VerdictStore", "VerdictFilter", "StoredVerdict",
+    "JanitorViewCriteria", "StoreError", "ingest_ledger",
+    "WatchSession", "WatchConfig", "WindowSource",
     "SyntheticTrafficSource",
     # sessions / service
     "CheckSession", "EvaluationSession", "CheckService", "ServiceConfig",
-    "CheckRequest", "CheckResult", "ShardSupervisor", "SupervisorConfig",
-    # transports and the wire protocol
-    "TRANSPORT_KINDS", "START_METHODS", "TransportOutcome",
-    "live_transports", "wire", "transport_chaos_plan",
-    "TransportError", "WorkerLostError", "WireError",
-    "FrameTruncatedError", "FrameCorruptError", "FrameTooLargeError",
-    "WireSchemaError",
-    # the cross-host worker fleet (PR 10)
-    "WorkerClient", "ReconnectPolicy", "AuthError",
+    # transports and the cross-host worker fleet
+    "TransportError", "WorkerClient", "ReconnectPolicy", "AuthError",
     "CorpusMismatchError",
     # durability (write-ahead journal, resume, chaos)
-    "Journal", "ReplayResult", "VerdictLedger", "CrashPoint",
-    "crash_offsets", "JournalError", "JournalCorruptError",
-    "SimulatedCrashError", "WorkerCrashError",
+    "VerdictLedger", "CrashPoint", "JournalError", "SimulatedCrashError",
     # schema
     "SCHEMA_VERSION", "migrate_record",
     # telemetry plane (snapshots, sinks, structured events)
-    "EVENT_FASTPATH_CHANGED", "EVENT_KINDS", "EVENT_SCHEMA_VERSION",
-    "Event", "EventLog", "NullEventLog", "validate_event_record",
-    "SNAPSHOT_SCHEMA_VERSION", "MetricsSnapshot", "SnapshotRing",
-    "Snapshotter", "histogram_quantiles", "registry_from_dict",
-    "validate_snapshot_record",
-    "CallbackSink", "JsonlSink", "OpenMetricsSink",
-    "parse_openmetrics", "read_jsonl", "render_openmetrics",
-    "sanitized_metrics",
-    "collect_substrate_metrics", "set_substrate_event_hook",
-    # deprecated shims (still exported so old code keeps importing)
-    "JMake", "EvaluationRunner",
+    "EventLog", "validate_event_record", "Snapshotter",
+    "histogram_quantiles", "validate_snapshot_record",
+    "JsonlSink", "OpenMetricsSink", "parse_openmetrics", "read_jsonl",
+    "collect_substrate_metrics",
     # data types and helpers
     "ActivityAnalyzer", "BlockVerdict", "BuildCache", "BuildSystem",
     "CachePolicy", "Config", "Corpus", "CorpusSpec", "DeadBlockAnalyzer",
-    "DeterministicRng", "EXPERIMENTS", "EvaluationResult", "FaultInjector",
-    "FaultPlan", "FaultPlanError", "FileReport", "FileStatus",
-    "HazardKind", "JMakeOptions", "JanitorFinder", "LEVELS",
-    "MetricsRegistry", "MutationEngine", "MutationOverlay",
-    "NULL_INJECTOR", "Patch", "PatchReport", "PersonaKind", "ReproError",
-    "Repository", "RetryPolicy", "SchemaError", "ServiceDrainingError",
-    "ServiceError", "ServiceOverloadedError", "ServiceOverloadError",
-    "Tracer", "Tristate",
-    "UnitDag", "VcsError", "WorkUnit", "Worktree",
-    "atomic_write_bytes", "atomic_write_json", "atomic_write_text",
-    "build_corpus",
+    "DeterministicRng", "EXPERIMENTS", "FaultInjector", "FaultPlan",
+    "FaultPlanError", "HazardKind", "JMakeOptions", "JanitorFinder",
+    "LEVELS", "MetricsRegistry", "MutationEngine", "MutationOverlay",
+    "NULL_INJECTOR", "Patch", "PersonaKind", "Repository", "RetryPolicy",
+    "Tracer", "Tristate", "VcsError",
+    "atomic_write_json", "atomic_write_text", "build_corpus",
     "configure_logging", "diff_texts", "extract_changed_files",
-    "figure5_overall", "generate_tree", "render_span_tree", "run_units",
+    "figure5_overall", "generate_tree", "render_span_tree",
     "scaled_criteria", "span_count", "table1", "table2", "table3",
     "table4", "write_chrome_trace", "write_markdown_report",
 ]
-
-
-# -- validation ---------------------------------------------------------------
-
-def validate_jobs(jobs, *, what: str = "jobs") -> int:
-    """The one place ``--jobs``/shard counts are validated.
-
-    Accepts any integral value ≥ 1 (bools rejected); raises
-    ``ValueError`` with a uniform message otherwise. The CLI, the
-    evaluation session, and the service config all call this, so
-    ``jmake serve --shards 0`` and ``jmake evaluate --jobs 0`` fail the
-    same way.
-    """
-    if isinstance(jobs, bool) or not isinstance(jobs, int):
-        raise ValueError(
-            f"{what} must be a positive integer, got {jobs!r}")
-    if jobs < 1:
-        raise ValueError(
-            f"{what} must be a positive integer, got {jobs}")
-    return jobs
 
 
 # -- one-shot functions -------------------------------------------------------

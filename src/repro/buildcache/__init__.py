@@ -20,25 +20,3 @@ by content fingerprints so a hit is provably equivalent to recomputing:
   pickle-backed persistence for cross-run reuse, and pre-fork priming
   for the parallel evaluation runner.
 """
-
-from repro.buildcache.cache import BuildCache, CachePolicy
-from repro.buildcache.depgraph import IncludeDependencyGraph
-from repro.buildcache.fingerprint import (
-    blob_digest,
-    env_fingerprint,
-    manifest_for,
-    manifest_valid,
-)
-from repro.buildcache.stats import CacheStats, KindStats
-
-__all__ = [
-    "BuildCache",
-    "CachePolicy",
-    "CacheStats",
-    "IncludeDependencyGraph",
-    "KindStats",
-    "blob_digest",
-    "env_fingerprint",
-    "manifest_for",
-    "manifest_valid",
-]

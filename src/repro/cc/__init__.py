@@ -13,23 +13,3 @@ Provides what ``gcc`` (and its cross variants) contributes to JMake:
 - the paper's cross-compiler availability matrix (24 of 34 ``make.cross``
   architectures work).
 """
-
-from repro.cc.assembly import AssemblyListing, emit_assembly
-from repro.cc.compiler import Compiler, Diagnostic, ObjectFile
-from repro.cc.lexer import lex_translation_unit
-from repro.cc.linker import KernelImage, LinkError, link
-from repro.cc.toolchain import Architecture, ToolchainRegistry
-
-__all__ = [
-    "Architecture",
-    "AssemblyListing",
-    "Compiler",
-    "Diagnostic",
-    "KernelImage",
-    "LinkError",
-    "ObjectFile",
-    "ToolchainRegistry",
-    "emit_assembly",
-    "lex_translation_unit",
-    "link",
-]

@@ -36,9 +36,10 @@ Subcommands::
 Output paths: every sink-producing subcommand takes ``--out-dir DIR``
 and resolves its outputs to conventional filenames inside it
 (``stats.json``, ``metrics.jsonl``, ``events.jsonl``, ``run.jnl``,
-``verdicts.sqlite``). The old per-sink flags (``--stats-out``,
-``--metrics-sink``, ``--events-out``, ``--journal``) keep working as
-explicit per-sink overrides but print a deprecation notice on stderr;
+``verdicts.sqlite``). The per-sink flags (``--stats-out``,
+``--metrics-sink``, ``--events-out``, ``--journal``, ``--store``)
+override one sink each: they put a journal outside the directory,
+write an OpenMetrics sink, or write several metrics sinks.
 ``repro.api.resolve_outputs`` is the one shared validator behind all
 of them.
 
@@ -85,26 +86,6 @@ def _demo(args: argparse.Namespace) -> int:
     return 0 if report.certified else 1
 
 
-def _resolve_outputs(command: str, out_dir: "str | None",
-                     sinks: dict, deprecated=()) -> dict:
-    """Resolve a subcommand's output paths through the one shared
-    validator (``api.resolve_outputs``).
-
-    ``deprecated`` lists ``(sink_name, flag)`` pairs whose flags
-    predate the ``--out-dir`` convention: when one was given, a notice
-    goes to stderr (never stdout — CI's recovery job diffs stdout) and
-    the explicit value still wins as the documented per-sink override.
-    """
-    for name, flag in deprecated:
-        if sinks.get(name) is not None:
-            print(f"jmake {command}: notice: {flag} is deprecated; "
-                  f"prefer --out-dir DIR ({name} lands at "
-                  f"DIR/{api.OUT_DIR_DEFAULTS[name]}); the explicit "
-                  f"flag keeps working as a per-sink override",
-                  file=sys.stderr)
-    return api.resolve_outputs(out_dir, sinks)
-
-
 def _evaluate(args: argparse.Namespace) -> int:
     try:
         api.validate_jobs(args.jobs, what="--jobs")
@@ -112,9 +93,8 @@ def _evaluate(args: argparse.Namespace) -> int:
         print(f"jmake evaluate: {error}", file=sys.stderr)
         return 2
     try:
-        journal = _resolve_outputs(
-            "evaluate", args.out_dir, {"journal": args.journal},
-            deprecated=(("journal", "--journal"),))["journal"]
+        journal = api.resolve_outputs(
+            args.out_dir, {"journal": args.journal})["journal"]
     except ValueError as error:
         print(f"jmake evaluate: {error}", file=sys.stderr)
         return 2
@@ -315,13 +295,10 @@ def _serve(args: argparse.Namespace) -> int:
             return 2
         config.fault_plan = fault_plan
     try:
-        resolved = _resolve_outputs(
-            "serve", args.out_dir,
+        resolved = api.resolve_outputs(
+            args.out_dir,
             {"stats": args.stats_out, "metrics": args.metrics_sink,
-             "events": args.events_out},
-            deprecated=(("stats", "--stats-out"),
-                        ("metrics", "--metrics-sink"),
-                        ("events", "--events-out")))
+             "events": args.events_out})
     except ValueError as error:
         print(f"jmake serve: {error}", file=sys.stderr)
         return 2
@@ -338,9 +315,6 @@ def _serve(args: argparse.Namespace) -> int:
         return 2
     if events is not None:
         config.events = events
-        api.set_substrate_event_hook(
-            lambda enabled: events.emit(api.EVENT_FASTPATH_CHANGED,
-                                        enabled=enabled))
     spec = api.CorpusSpec(seed=args.seed,
                           history_commits=max(200, args.commits // 2),
                           eval_commits=args.commits)
@@ -383,7 +357,6 @@ def _serve(args: argparse.Namespace) -> int:
             [commit.id for commit in checkable])
         stats = service.stats()
     finally:
-        api.set_substrate_event_hook(None)
         for sink in closers:
             sink.close()
     for result in results:
@@ -494,8 +467,8 @@ def _watch(args: argparse.Namespace) -> int:
         api.validate_jobs(args.shards, what="--shards")
         if args.jobs is not None:
             api.validate_jobs(args.jobs, what="--jobs")
-        resolved = _resolve_outputs(
-            "watch", args.out_dir,
+        resolved = api.resolve_outputs(
+            args.out_dir,
             {"store": args.store, "journal": args.journal,
              "events": args.events_out, "stats": args.stats_out})
         service_config = api.ServiceConfig(
@@ -907,8 +880,7 @@ def main(argv: list[str] | None = None) -> int:
                           help="write-ahead verdict journal: every "
                                "patch verdict is fsynced here the "
                                "moment it exists (see DESIGN.md §7; "
-                               "deprecated spelling of --out-dir's "
-                               "run.jnl)")
+                               "overrides --out-dir's run.jnl)")
     evaluate.add_argument("--resume", action="store_true",
                           help="replay --journal and rerun only the "
                                "commits without a durable verdict; the "
@@ -970,8 +942,7 @@ def main(argv: list[str] | None = None) -> int:
                             "flags override")
     serve.add_argument("--stats-out", default=None,
                        help="write scheduling stats JSON here "
-                            "(deprecated spelling of --out-dir's "
-                            "stats.json)")
+                            "(overrides --out-dir's stats.json)")
     serve.add_argument("--metrics-sink", action="append", default=None,
                        metavar="PATH",
                        help="periodic metric snapshots: *.jsonl appends "

@@ -14,25 +14,6 @@ Pipeline (paper §III):
    system over candidates, grep ``.i`` output for tokens, certify with
    an unmutated ``.o`` build (§III-D/E);
 6. :mod:`repro.core.report` — structured verdicts;
-7. :mod:`repro.core.jmake` — the user-facing facade.
+7. :mod:`repro.core.jmake` — :class:`CheckSession`, the engine behind
+   the :mod:`repro.api` facade.
 """
-
-from repro.core.changes import ChangedFile, extract_changed_files
-from repro.core.jmake import JMake, JMakeOptions
-from repro.core.mutation import MutationEngine, MutationPlan
-from repro.core.report import FileReport, FileStatus, PatchReport
-from repro.core.sourcemap import LineClass, SourceMap
-
-__all__ = [
-    "ChangedFile",
-    "FileReport",
-    "FileStatus",
-    "JMake",
-    "JMakeOptions",
-    "LineClass",
-    "MutationEngine",
-    "MutationPlan",
-    "PatchReport",
-    "SourceMap",
-    "extract_changed_files",
-]

@@ -23,13 +23,10 @@ Both entry points are thin drivers over ``iter_check_commit`` /
 :class:`~repro.core.units.WorkUnit` steps. The sequential wrappers run
 every unit inline; the check service (:mod:`repro.service`) feeds the
 same generators to per-architecture shard workers.
-
-``JMake`` remains as a deprecated alias of :class:`CheckSession`.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 from repro.buildcache.cache import BuildCache
@@ -352,13 +349,3 @@ class CheckSession:
             retry_policy=self.retry_policy,
         )
 
-
-class JMake(CheckSession):
-    """Deprecated pre-``repro.api`` name of :class:`CheckSession`."""
-
-    def __init__(self, *args, **kwargs) -> None:
-        warnings.warn(
-            "JMake is deprecated; use repro.api.CheckSession (or the "
-            "repro.api.check_commit/check_patch helpers)",
-            DeprecationWarning, stacklevel=2)
-        super().__init__(*args, **kwargs)

@@ -20,18 +20,3 @@ sites; a token inside a string literal must survive expansion verbatim;
 a token under an untaken conditional branch must vanish. This package
 implements those semantics for real rather than approximating them.
 """
-
-from repro.cpp import prepared
-from repro.cpp.lexer import strip_comments, tokenize
-from repro.cpp.macro import Macro, MacroTable
-from repro.cpp.preprocessor import PreprocessResult, Preprocessor
-
-__all__ = [
-    "Macro",
-    "MacroTable",
-    "PreprocessResult",
-    "Preprocessor",
-    "prepared",
-    "strip_comments",
-    "tokenize",
-]

@@ -33,13 +33,12 @@ Three observations drive the substrate fast path (DESIGN.md §8):
 The module also owns the global fast-path switch. All reuse levels —
 the lexer's token caches, the macro screen, the evaluator fast paths,
 and the two caches here — can be force-disabled via :func:`configure`
-or the ``JMAKE_CPP_FASTPATH`` environment variable, which is what the
-byte-identity differential suite uses to compare both pipelines.
+(or, scoped, :func:`fastpath_disabled`), which is what the byte-identity
+differential suite uses to compare both pipelines.
 """
 
 from __future__ import annotations
 
-import os
 from collections import OrderedDict
 from contextlib import contextmanager
 
@@ -351,27 +350,7 @@ def collect_metrics() -> MetricsRegistry:
 
 # -- the global fast-path switch -------------------------------------------
 
-#: optional callback fired when :func:`configure` flips the fast path
-#: (the service installs one that emits ``substrate.fastpath_changed``)
-_EVENT_HOOK = None
-
-
-def set_event_hook(hook) -> None:
-    """Install (or clear, with None) the fast-path change callback.
-
-    ``hook(enabled: bool)`` is invoked after :func:`configure` changes
-    the effective mode — not on redundant reconfigurations.
-    """
-    global _EVENT_HOOK
-    _EVENT_HOOK = hook
-
-
-def _env_default() -> bool:
-    value = os.environ.get("JMAKE_CPP_FASTPATH", "1")
-    return value.strip().lower() not in ("0", "false", "off", "no")
-
-
-_ENABLED = _env_default()
+_ENABLED = True
 
 
 def enabled() -> bool:
@@ -388,15 +367,12 @@ def configure(enable: bool) -> None:
     pre-fast-path behaviour the differential suite compares against.
     """
     global _ENABLED
-    changed = _ENABLED != bool(enable)
     _ENABLED = bool(enable)
     _lexer.set_token_cache_enabled(enable)
     _lexer.set_strip_fastpath_enabled(enable)
     _macro.set_expand_screen_enabled(enable)
     _evaluator.set_condition_fastpath_enabled(enable)
     clear_caches()
-    if changed and _EVENT_HOOK is not None:
-        _EVENT_HOOK(_ENABLED)
 
 
 def clear_caches() -> None:
@@ -433,10 +409,6 @@ def stats_snapshot() -> dict:
         "prepared_entries": len(_PREPARED),
         "header_replay_entries": len(_HEADER_CACHE),
     }
-
-
-if not _ENABLED:  # honour JMAKE_CPP_FASTPATH=0 from process start
-    configure(False)
 
 
 def render_stats() -> str:

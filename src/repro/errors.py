@@ -117,11 +117,6 @@ class ServiceOverloadedError(ServiceError):
         self.shard_id = shard_id
 
 
-#: preferred name for the typed overload rejection (same class; the
-#: historical ``ServiceOverloadedError`` spelling remains an alias)
-ServiceOverloadError = ServiceOverloadedError
-
-
 class ServiceDrainingError(ServiceError):
     """Raised when a request arrives after shutdown/drain began."""
 

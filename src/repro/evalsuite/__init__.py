@@ -9,19 +9,3 @@ table and figure of the paper's §V.
 - :mod:`repro.evalsuite.experiments` — the experiment registry mapping
   DESIGN.md experiment ids to callables.
 """
-
-from repro.evalsuite.runner import (
-    EvaluationResult,
-    EvaluationRunner,
-    FileInstanceRecord,
-    PatchRecord,
-)
-from repro.evalsuite.stats import Cdf
-
-__all__ = [
-    "Cdf",
-    "EvaluationResult",
-    "EvaluationRunner",
-    "FileInstanceRecord",
-    "PatchRecord",
-]

@@ -30,6 +30,7 @@ from repro.kernel.layout import HazardKind
 from repro.obs.logcfg import get_logger
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import Tracer
+from repro.util.validate import validate_jobs
 from repro.workload.corpus import Corpus
 from repro.workload.personas import PersonaKind
 
@@ -216,7 +217,7 @@ def scaled_criteria(corpus: Corpus) -> JanitorCriteria:
 
 
 #: worker-process state for the parallel runner (set by the pool
-#: initializer; each forked worker owns an independent JMake instance
+#: initializer; each forked worker owns an independent CheckSession
 #: but shares the pre-forked, copy-on-write build cache)
 _WORKER: dict = {}
 
@@ -339,8 +340,8 @@ class EvaluationSession:
         a pure function of (corpus, commit).
 
         ``service`` routes the commits through an in-process sharded
-        :class:`~repro.service.CheckService` instead — ``True`` for the
-        default config, an int for a shard count, or a full
+        :class:`~repro.service.service.CheckService` instead — ``True``
+        for the default config, an int for a shard count, or a full
         ``ServiceConfig``. Verdict-bearing records are byte-identical
         to the sequential path (the differential suite pins this);
         span trees/metrics are not collected in service mode.
@@ -358,7 +359,6 @@ class EvaluationSession:
         ``on_journal_append`` is the chaos observer (see
         :class:`repro.faults.chaos.CrashPoint`).
         """
-        from repro.api import validate_jobs
         jobs = validate_jobs(jobs)
         if resume and journal is None:
             raise EvaluationError(
@@ -478,7 +478,7 @@ class EvaluationSession:
         a different corpus/options combination — replaying verdicts of
         another run would silently produce wrong tables.
         """
-        from repro.journal import VerdictLedger
+        from repro.journal.ledger import VerdictLedger
 
         injector = FaultInjector(self.fault_plan) \
             if self.fault_plan else None
@@ -507,7 +507,7 @@ class EvaluationSession:
         returns the service's scheduling stats (supervisor/breaker
         state included).
         """
-        from repro.service import CheckService, ServiceConfig
+        from repro.service.service import CheckService, ServiceConfig
 
         if isinstance(service, ServiceConfig):
             config = service
@@ -653,15 +653,3 @@ class EvaluationSession:
             hazard_kinds=hazard_kinds,
         )
 
-
-class EvaluationRunner(EvaluationSession):
-    """Deprecated pre-``repro.api`` name of :class:`EvaluationSession`."""
-
-    def __init__(self, *args, **kwargs) -> None:
-        import warnings
-        warnings.warn(
-            "EvaluationRunner is deprecated; use "
-            "repro.api.EvaluationSession (or the repro.api.evaluate "
-            "helper)",
-            DeprecationWarning, stacklevel=2)
-        super().__init__(*args, **kwargs)

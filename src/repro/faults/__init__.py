@@ -24,71 +24,3 @@ Process-level kinds (``worker_crash``, ``worker_hang``,
 cycles: they are keyed by (shard, pickup sequence) or (journal,
 append sequence), never by wall-clock time.
 """
-
-from repro.faults.chaos import CrashPoint, crash_offsets
-from repro.faults.inject import (
-    FaultInjector,
-    FaultReport,
-    NULL_INJECTOR,
-    NullInjector,
-)
-from repro.faults.plan import (
-    BUILTIN_KINDS,
-    FaultPlan,
-    FaultSpec,
-    INJECTION_SITES,
-    KIND_CACHE_CORRUPT,
-    KIND_COMPILE_TIMEOUT,
-    KIND_CONFIG_FAIL,
-    KIND_IO_ERROR,
-    KIND_PREPROCESS_FLAKE,
-    KIND_TORN_JOURNAL_WRITE,
-    KIND_TRUNCATE_I,
-    KIND_WORKER_CRASH,
-    KIND_WORKER_HANG,
-    PIPELINE_SITES,
-    PROCESS_SITES,
-    SITE_CACHE_LOAD,
-    SITE_CACHE_STORE,
-    SITE_COMPILE,
-    SITE_CONFIG,
-    SITE_JOURNAL_APPEND,
-    SITE_PREPROCESS,
-    SITE_WORKER,
-    valid_kind_sites,
-)
-from repro.faults.resilience import Quarantine, RetryPolicy
-
-__all__ = [
-    "BUILTIN_KINDS",
-    "CrashPoint",
-    "FaultInjector",
-    "FaultPlan",
-    "FaultReport",
-    "FaultSpec",
-    "INJECTION_SITES",
-    "KIND_CACHE_CORRUPT",
-    "KIND_COMPILE_TIMEOUT",
-    "KIND_CONFIG_FAIL",
-    "KIND_IO_ERROR",
-    "KIND_PREPROCESS_FLAKE",
-    "KIND_TORN_JOURNAL_WRITE",
-    "KIND_TRUNCATE_I",
-    "KIND_WORKER_CRASH",
-    "KIND_WORKER_HANG",
-    "NULL_INJECTOR",
-    "NullInjector",
-    "PIPELINE_SITES",
-    "PROCESS_SITES",
-    "Quarantine",
-    "RetryPolicy",
-    "SITE_CACHE_LOAD",
-    "SITE_CACHE_STORE",
-    "SITE_COMPILE",
-    "SITE_CONFIG",
-    "SITE_JOURNAL_APPEND",
-    "SITE_PREPROCESS",
-    "SITE_WORKER",
-    "crash_offsets",
-    "valid_kind_sites",
-]

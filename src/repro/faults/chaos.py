@@ -30,11 +30,6 @@ from repro.faults.plan import (
 )
 
 __all__ = [
-    "KIND_NET_HALF_OPEN",
-    "KIND_NET_PARTITION",
-    "KIND_NET_SLOW",
-    "KIND_SOCKET_DROP",
-    "KIND_WORKER_KILL",
     "CrashPoint",
     "crash_offsets",
     "transport_chaos_plan",

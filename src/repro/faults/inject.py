@@ -1,8 +1,9 @@
 """The injection hook the pipeline consults at every step boundary.
 
-One :class:`FaultInjector` is owned by a :class:`~repro.core.jmake.JMake`
-instance and threaded into every :class:`~repro.kbuild.build.BuildSystem`
-it creates (and into the shared :class:`~repro.buildcache.BuildCache`).
+One :class:`FaultInjector` is owned by a
+:class:`~repro.core.jmake.CheckSession` instance and threaded into every
+:class:`~repro.kbuild.build.BuildSystem` it creates (and into the shared
+:class:`~repro.buildcache.cache.BuildCache`).
 ``begin_scope(commit_id)`` resets the per-key attempt counters at the
 start of each checked commit, which is what makes firing decisions a
 pure function of (plan, commit) — independent of worker assignment

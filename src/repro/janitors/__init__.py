@@ -6,18 +6,3 @@
 - :mod:`repro.janitors.identify` — Table I thresholds and the cv
   ranking that produces Table II.
 """
-
-from repro.janitors.activity import ActivityAnalyzer, DeveloperActivity
-from repro.janitors.identify import (
-    JanitorCriteria,
-    JanitorFinder,
-    RankedDeveloper,
-)
-
-__all__ = [
-    "ActivityAnalyzer",
-    "DeveloperActivity",
-    "JanitorCriteria",
-    "JanitorFinder",
-    "RankedDeveloper",
-]

@@ -16,63 +16,3 @@ Three layers, bottom-up:
 Entry points: ``EvaluationSession.run(journal=..., resume=...)`` and
 ``jmake evaluate --journal ... --resume``.
 """
-
-from repro.journal.ledger import CHECKPOINT_VERSION, VerdictLedger
-from repro.journal.records import (
-    RECORD_VERSION,
-    patch_record_from_dict,
-    patch_record_to_dict,
-)
-from repro.journal.wal import (
-    Journal,
-    MAX_RECORD_BYTES,
-    ReplayResult,
-    encode_record,
-    frame_record,
-    scan_frames,
-)
-
-__all__ = [
-    "CHECKPOINT_VERSION",
-    "Journal",
-    "MAX_RECORD_BYTES",
-    "RECORD_VERSION",
-    "ReplayResult",
-    "VerdictLedger",
-    "encode_record",
-    "frame_record",
-    "patch_record_from_dict",
-    "patch_record_to_dict",
-    "scan_frames",
-]
-
-#: store names that briefly lived on this package while the ledger's
-#: ``key -> record`` read surface grew into :mod:`repro.store`; the
-#: supported import surface is ``repro.api``
-_DEPRECATED_STORE_NAMES = (
-    "IngestResult",
-    "StoredVerdict",
-    "VerdictFilter",
-    "VerdictStore",
-    "ingest_ledger",
-)
-
-
-def __getattr__(name: str):
-    """Deprecated access to the verdict store via ``repro.journal``.
-
-    The journal is the store's WAL, so the store types grew up here —
-    but the supported spelling is ``repro.api``. Old imports keep
-    working, warn, and return the canonical objects.
-    """
-    if name in _DEPRECATED_STORE_NAMES:
-        import warnings
-
-        import repro.store as _store_module
-        warnings.warn(
-            f"repro.journal.{name} is deprecated; import {name} from "
-            f"repro.api (the stable facade)",
-            DeprecationWarning, stacklevel=2)
-        return getattr(_store_module, name)
-    raise AttributeError(
-        f"module {__name__!r} has no attribute {name!r}")

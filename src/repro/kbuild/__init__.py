@@ -13,16 +13,3 @@ Running times are charged to a :class:`~repro.util.simclock.SimClock`
 via the cost model in :mod:`repro.kbuild.timing`, reproducing the
 distributional shape of the paper's Figures 4–6.
 """
-
-from repro.kbuild.build import BuildError, BuildSystem, MakeInvocation
-from repro.kbuild.makefile import KbuildMakefile, ObjectRule
-from repro.kbuild.timing import CostModel
-
-__all__ = [
-    "BuildError",
-    "BuildSystem",
-    "CostModel",
-    "KbuildMakefile",
-    "MakeInvocation",
-    "ObjectRule",
-]

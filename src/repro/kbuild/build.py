@@ -20,9 +20,9 @@ Bootstrap files (§V-D): the kernel Makefile compiles a few tree files to
 run *any* make target, so those files cannot be mutated; the tree marks
 them and :meth:`BuildSystem.is_bootstrap` exposes the set.
 
-When constructed with a :class:`~repro.buildcache.BuildCache`, every
-expensive artifact (parsed Kconfig models, solved configurations, parsed
-Makefiles, ``.i`` results, ``.o`` outcomes) is first probed in the
+When constructed with a :class:`~repro.buildcache.cache.BuildCache`,
+every expensive artifact (parsed Kconfig models, solved configurations,
+parsed Makefiles, ``.i`` results, ``.o`` outcomes) is first probed in the
 shared content-addressed cache; under the default *replay* clock policy
 a hit charges exactly the cost the uncached run would have charged, so
 the simulated timeline — and thus every table and figure — is

@@ -12,29 +12,3 @@ Implements the subset of Kconfig the paper's machinery depends on:
 - ``.config`` serialization and the ``autoconf.h`` macro set the build
   injects into every compilation.
 """
-
-from repro.kconfig.ast import ConfigSymbol, Expr, SymbolType, Tristate
-from repro.kconfig.configfile import Config, parse_config_text
-from repro.kconfig.model import ConfigModel
-from repro.kconfig.parser import parse_kconfig
-from repro.kconfig.solver import (
-    allmodconfig,
-    allnoconfig,
-    allyesconfig,
-    defconfig,
-)
-
-__all__ = [
-    "Config",
-    "ConfigModel",
-    "ConfigSymbol",
-    "Expr",
-    "SymbolType",
-    "Tristate",
-    "allmodconfig",
-    "allnoconfig",
-    "allyesconfig",
-    "defconfig",
-    "parse_config_text",
-    "parse_kconfig",
-]

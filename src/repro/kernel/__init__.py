@@ -11,32 +11,3 @@ we generate a structurally equivalent tree instead (see DESIGN.md §2):
   the tree files plus ground-truth metadata for the workload generator
   (JMake itself never reads the metadata).
 """
-
-from repro.kernel.generator import (
-    GeneratedTree,
-    KernelTreeGenerator,
-    SourceFileInfo,
-    generate_tree,
-)
-from repro.kernel.layout import (
-    ArchSpec,
-    HazardKind,
-    SubsystemSpec,
-    TreeSpec,
-    default_tree_spec,
-)
-from repro.kernel.maintainers import MaintainersDb, MaintainersEntry
-
-__all__ = [
-    "ArchSpec",
-    "GeneratedTree",
-    "HazardKind",
-    "KernelTreeGenerator",
-    "MaintainersDb",
-    "MaintainersEntry",
-    "SourceFileInfo",
-    "SubsystemSpec",
-    "TreeSpec",
-    "default_tree_spec",
-    "generate_tree",
-]

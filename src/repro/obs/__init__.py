@@ -23,85 +23,3 @@ Three layers, all optional and all no-op-cheap when disabled:
 Instrumentation reads the simulated clock but never charges it, so
 enabling tracing cannot perturb any table or figure.
 """
-
-from repro.obs.events import (
-    EVENT_KINDS,
-    NULL_EVENTS,
-    Event,
-    EventLog,
-    NullEventLog,
-    validate_event_record,
-)
-from repro.obs.export import (
-    chrome_trace,
-    render_span_tree,
-    span_count,
-    write_chrome_trace,
-)
-from repro.obs.logcfg import configure_logging, get_logger
-from repro.obs.metrics import (
-    NULL_METRICS,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    NullMetricsRegistry,
-)
-from repro.obs.sinks import (
-    CallbackSink,
-    JsonlSink,
-    OpenMetricsSink,
-    parse_openmetrics,
-    read_jsonl,
-    render_openmetrics,
-    sanitize_metric_name,
-    sanitized_metrics,
-)
-from repro.obs.timeseries import (
-    MetricsSnapshot,
-    SnapshotRing,
-    Snapshotter,
-    histogram_quantiles,
-    registry_from_dict,
-    validate_snapshot_record,
-)
-from repro.obs.tracer import NULL_TRACER, NullTracer, Span, Tracer
-
-__all__ = [
-    "EVENT_KINDS",
-    "NULL_EVENTS",
-    "NULL_METRICS",
-    "NULL_TRACER",
-    "CallbackSink",
-    "Counter",
-    "Event",
-    "EventLog",
-    "Gauge",
-    "Histogram",
-    "JsonlSink",
-    "MetricsRegistry",
-    "MetricsSnapshot",
-    "NullEventLog",
-    "NullMetricsRegistry",
-    "NullTracer",
-    "OpenMetricsSink",
-    "SnapshotRing",
-    "Snapshotter",
-    "Span",
-    "Tracer",
-    "chrome_trace",
-    "configure_logging",
-    "get_logger",
-    "histogram_quantiles",
-    "parse_openmetrics",
-    "read_jsonl",
-    "registry_from_dict",
-    "render_openmetrics",
-    "render_span_tree",
-    "sanitize_metric_name",
-    "sanitized_metrics",
-    "span_count",
-    "validate_event_record",
-    "validate_snapshot_record",
-    "write_chrome_trace",
-]

@@ -3,9 +3,9 @@
 A long-running ``jmake serve`` has state changes that matter to an
 operator — a shard worker crashed and was restarted, a circuit breaker
 opened, admission control rejected a request, an architecture tripped
-quarantine, the journal truncated a torn tail, the substrate fast path
-was switched off — and before this module every one of them was a log
-line: unstructured, unqueryable, and gone when the process dies.
+quarantine, the journal truncated a torn tail — and before this module
+every one of them was a log line: unstructured, unqueryable, and gone
+when the process dies.
 
 :class:`EventLog` is the typed replacement. Every emission produces an
 :class:`Event` with
@@ -51,7 +51,6 @@ EVENT_SERVICE_DRAINED = "service.drained"
 EVENT_QUARANTINE_TRIP = "quarantine.trip"
 EVENT_JOURNAL_TRUNCATED = "journal.truncated"
 EVENT_JOURNAL_CHECKPOINT = "journal.checkpoint"
-EVENT_FASTPATH_CHANGED = "substrate.fastpath_changed"
 EVENT_CACHE_LOAD_ERROR = "cache.load_error"
 EVENT_WORKER_SPAWNED = "transport.worker_spawned"
 EVENT_WORKER_EXIT = "transport.worker_exit"
@@ -85,7 +84,6 @@ EVENT_KINDS = {
     EVENT_QUARANTINE_TRIP: "an architecture was quarantined for a request",
     EVENT_JOURNAL_TRUNCATED: "journal recovery truncated a torn tail",
     EVENT_JOURNAL_CHECKPOINT: "the verdict ledger wrote a checkpoint",
-    EVENT_FASTPATH_CHANGED: "the substrate fast path was switched on/off",
     EVENT_CACHE_LOAD_ERROR: "a cache pickle load fell back to empty",
     EVENT_WORKER_SPAWNED: "a remote transport spawned a shard worker",
     EVENT_WORKER_EXIT: "a remote shard worker exited or was reaped",

@@ -26,7 +26,7 @@ from typing import Any, Iterable
 #: well-known pipeline instruments (name -> meaning); modules may
 #: register further instruments freely, this is documentation not ACL
 INSTRUMENTS = {
-    "patches.checked": "commits run through JMake.check_patch",
+    "patches.checked": "commits run through CheckSession.check_patch",
     "patches.certified": "patches whose every changed line was certified",
     "files.mutated": "file instances that received at least one mutation",
     "tokens.placed": "mutation tokens placed across all files",

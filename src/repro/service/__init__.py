@@ -3,74 +3,3 @@
 Import the public names from :mod:`repro.api`; this package is the
 implementation. See DESIGN.md §6 for the architecture.
 """
-
-from repro.service.batcher import CrossRequestBatcher
-from repro.service.request import CheckRequest, CheckResult
-from repro.service.service import (
-    START_METHODS,
-    CheckService,
-    ServiceConfig,
-    drive_units,
-)
-from repro.service.shards import ArchShard, ShardPool, shard_index
-from repro.service.supervisor import ShardSupervisor, SupervisorConfig
-from repro.service.transport import (
-    TRANSPORT_KINDS,
-    Transport,
-    TransportOutcome,
-    create_transport,
-    live_transports,
-)
-
-__all__ = [
-    "ArchShard",
-    "CheckRequest",
-    "CheckResult",
-    "CheckService",
-    "CrossRequestBatcher",
-    "START_METHODS",
-    "ServiceConfig",
-    "ShardPool",
-    "ShardSupervisor",
-    "SupervisorConfig",
-    "TRANSPORT_KINDS",
-    "Transport",
-    "TransportOutcome",
-    "create_transport",
-    "drive_units",
-    "live_transports",
-    "shard_index",
-]
-
-#: watch-daemon names that briefly lived on this package during the
-#: fleet-mode sweep; the supported import surface is ``repro.api``.
-#: (``watch`` itself is absent: that name is the submodule, which
-#: Python binds on the package at import time, shadowing __getattr__.)
-_DEPRECATED_WATCH_NAMES = (
-    "SyntheticTrafficSource",
-    "WatchConfig",
-    "WatchResult",
-    "WatchSession",
-    "WindowSource",
-)
-
-
-def __getattr__(name: str):
-    """Deprecated access to the watch types via ``repro.service``.
-
-    Mirrors the PR-4 ``JMake``/``EvaluationRunner`` pattern: the old
-    spelling keeps working, warns once per call site, and returns the
-    canonical object — so ``repro.service.WatchSession is
-    repro.api.WatchSession`` holds.
-    """
-    if name in _DEPRECATED_WATCH_NAMES:
-        import warnings
-
-        from repro.service import watch as _watch_module
-        warnings.warn(
-            f"repro.service.{name} is deprecated; import {name} from "
-            f"repro.api (the stable facade)",
-            DeprecationWarning, stacklevel=2)
-        return getattr(_watch_module, name)
-    raise AttributeError(
-        f"module {__name__!r} has no attribute {name!r}")

@@ -34,7 +34,7 @@ class CheckResult:
     request_id: str
     commit_id: str
     #: the full verdict-bearing report (byte-identical to what the
-    #: sequential ``EvaluationRunner`` path produces for this commit)
+    #: sequential ``EvaluationSession`` path produces for this commit)
     report: PatchReport
     #: the canonical JSON-ready record (``schema_version`` included)
     record: dict = field(default_factory=dict)

@@ -14,7 +14,7 @@ config/certify units on the owning arch shard — while the ``mp`` and
 ``socket`` transports ship whole commit assignments to warm worker
 processes over the wire codec. Every check is a pure function of
 (corpus, commit), so the differential suite pins all three transports
-byte-identical to the sequential ``EvaluationRunner``.
+byte-identical to the sequential ``EvaluationSession``.
 
 Admission control: ``submit()`` awaits a bounded slot (backpressure),
 ``submit_nowait()`` raises :class:`~repro.errors.
@@ -56,7 +56,7 @@ from repro.service.transport.base import (
     track_live,
     untrack_live,
 )
-from repro.service.transport.local import drive_units  # noqa: F401 — public API
+from repro.util.validate import validate_jobs
 from repro.workload.corpus import Corpus
 
 #: start methods ``multiprocessing`` supports for remote transports
@@ -139,7 +139,6 @@ class ServiceConfig:
     hello_timeout_seconds: "float | None" = None
 
     def __post_init__(self) -> None:
-        from repro.api import validate_jobs
         self.shards = validate_jobs(self.shards, what="shards")
         if self.start_method is None:
             self.start_method = os.environ.get(
@@ -222,8 +221,6 @@ class CheckService:
         self.metrics = MetricsRegistry()
         self.tracer = self.config.tracer \
             if self.config.tracer is not None else NULL_TRACER
-        #: kept for callers that predate the transport refactor
-        self._tracer = self.tracer
         #: structured operational events (crashes, rejections, trips)
         self.events = self.config.events \
             if self.config.events is not None else NULL_EVENTS

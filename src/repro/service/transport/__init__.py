@@ -1,20 +1,3 @@
 """Shard transports: interchangeable execution backends for the
 check service. See :mod:`repro.service.transport.base` for the
 contract and :mod:`repro.service.transport.wire` for the protocol."""
-
-from repro.service.transport.base import (
-    TRANSPORT_KINDS,
-    Transport,
-    TransportOutcome,
-    create_transport,
-    live_transports,
-)
-
-__all__ = [
-    "TRANSPORT_KINDS",
-    "Transport",
-    "TransportOutcome",
-    "create_transport",
-    "live_transports",
-    "wire",
-]

@@ -156,6 +156,7 @@ class RemoteTransport(Transport):
         self._pending: "asyncio.Queue[_Assignment]" = None
         self._seq = 0
         self._started = False
+        self._draining = False
         self._injector = FaultInjector(config.fault_plan) \
             if config.fault_plan else NULL_INJECTOR
         self._inline_task: "asyncio.Task | None" = None
@@ -210,6 +211,7 @@ class RemoteTransport(Transport):
         if self._started:
             return
         self._pending = asyncio.Queue()
+        self._draining = False
         loop = asyncio.get_running_loop()
         for slot in self.slots:
             self._spawn(slot)
@@ -227,7 +229,11 @@ class RemoteTransport(Transport):
             return
         # every admitted request has resolved by the time the service
         # calls transport drain, so the slots are idle: stop the loops,
-        # then ask the children to exit cleanly
+        # then ask the children to exit cleanly. The flag backs up the
+        # cancel: before Python 3.12, asyncio.wait_for returns instead of
+        # raising when the cancel races a respawned worker's HELLO, and
+        # the slot loop would then wait on the empty queue forever.
+        self._draining = True
         for slot in self.slots:
             if slot._task is not None:
                 slot._task.cancel()
@@ -288,7 +294,7 @@ class RemoteTransport(Transport):
     async def _slot_loop(self, slot: WorkerSlot) -> None:
         try:
             await self._connect_or_recover(slot)
-            while not slot.breaker_open:
+            while not slot.breaker_open and not self._draining:
                 assignment = await self._pending.get()
                 await self._dispatch(slot, assignment)
         except asyncio.CancelledError:

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 
 from repro.core.jmake import JMakeOptions
 from repro.faults.chaos import CrashPoint
-from repro.journal import VerdictLedger
+from repro.journal.ledger import VerdictLedger
 from repro.obs.events import (
     EVENT_WATCH_BATCH,
     EVENT_WATCH_IDLE,
@@ -45,8 +45,8 @@ from repro.obs.events import (
 )
 from repro.obs.logcfg import get_logger
 from repro.service.service import CheckService, ServiceConfig
-from repro.store import VerdictStore
 from repro.store.matview import JanitorViewCriteria
+from repro.store.store import VerdictStore
 from repro.util.rng import DeterministicRng
 from repro.workload.corpus import Corpus
 

@@ -5,27 +5,3 @@ Public surface re-exported through :mod:`repro.api` — ``open_store``,
 dataclasses. The journal (:mod:`repro.journal`) is the store's WAL;
 :mod:`repro.store.ingest` documents the transaction boundary.
 """
-
-from repro.store.ingest import IngestResult, ingest_ledger
-from repro.store.matview import JanitorViewCriteria, JanitorViewRow
-from repro.store.query import (
-    VERDICT_KINDS,
-    FileVerdictRow,
-    StoredVerdict,
-    VerdictFilter,
-)
-from repro.store.schema import STORE_SCHEMA_VERSION
-from repro.store.store import VerdictStore
-
-__all__ = [
-    "STORE_SCHEMA_VERSION",
-    "VERDICT_KINDS",
-    "FileVerdictRow",
-    "IngestResult",
-    "JanitorViewCriteria",
-    "JanitorViewRow",
-    "StoredVerdict",
-    "VerdictFilter",
-    "VerdictStore",
-    "ingest_ledger",
-]

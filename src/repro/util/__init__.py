@@ -1,28 +1,2 @@
 """Shared utilities: deterministic randomness, simulated time, text
-helpers, crash-atomic file writes."""
-
-from repro.util.atomicio import (
-    atomic_write_bytes,
-    atomic_write_json,
-    atomic_write_text,
-    fsync_directory,
-)
-from repro.util.rng import DeterministicRng
-from repro.util.simclock import SimClock
-from repro.util.text import (
-    ends_with_continuation,
-    join_spliced_lines,
-    split_lines_keepends,
-)
-
-__all__ = [
-    "DeterministicRng",
-    "SimClock",
-    "atomic_write_bytes",
-    "atomic_write_json",
-    "atomic_write_text",
-    "ends_with_continuation",
-    "fsync_directory",
-    "join_spliced_lines",
-    "split_lines_keepends",
-]
+helpers, crash-atomic file writes, job-count validation."""

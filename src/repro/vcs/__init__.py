@@ -9,21 +9,3 @@ in-memory content-addressed store:
 - :mod:`repro.vcs.objects` — blobs, trees, commits.
 - :mod:`repro.vcs.repository` — history, checkout, log filtering.
 """
-
-from repro.vcs.diff import FileDiff, Hunk, HunkLine, Patch, apply_file_diff
-from repro.vcs.objects import Commit, Signature, Tree
-from repro.vcs.repository import LogOptions, Repository, Worktree
-
-__all__ = [
-    "Commit",
-    "FileDiff",
-    "Hunk",
-    "HunkLine",
-    "LogOptions",
-    "Patch",
-    "Repository",
-    "Signature",
-    "Tree",
-    "Worktree",
-    "apply_file_diff",
-]

@@ -13,20 +13,3 @@ This package generates an equivalent population over the synthetic tree:
 - :mod:`repro.workload.corpus` — the bundle the evaluation harness
   consumes, with per-commit ground truth.
 """
-
-from repro.workload.anatomy import SourceAnatomy
-from repro.workload.commits import CommitMetadata, CommitStreamGenerator
-from repro.workload.corpus import Corpus, CorpusSpec, build_corpus
-from repro.workload.personas import Persona, PersonaKind, default_roster
-
-__all__ = [
-    "CommitMetadata",
-    "CommitStreamGenerator",
-    "Corpus",
-    "CorpusSpec",
-    "Persona",
-    "PersonaKind",
-    "SourceAnatomy",
-    "build_corpus",
-    "default_roster",
-]

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.analysis.covergen import covering_configs
-from repro.core.jmake import JMake, JMakeOptions
+from repro.core.jmake import CheckSession, JMakeOptions
 from repro.core.report import FileStatus
 from repro.kconfig.ast import Tristate
 from repro.kconfig.model import ConfigModel
@@ -123,9 +123,9 @@ class TestJMakeExtension:
         assert edited != original
         files = dict(tree.files)
         files[path] = edited
-        worktree = JMake.worktree_for_files(files)
+        worktree = CheckSession.worktree_for_files(files)
         patch = Patch(files=[diff_texts(path, original, edited)])
-        jmake = JMake.from_generated_tree(
+        jmake = CheckSession.from_generated_tree(
             tree, options=JMakeOptions(**options))
         return jmake.check_patch(worktree, patch)
 

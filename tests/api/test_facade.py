@@ -13,7 +13,7 @@ class TestSurface:
     def test_sessions_are_the_real_classes(self):
         from repro.core.jmake import CheckSession
         from repro.evalsuite.runner import EvaluationSession
-        from repro.service import CheckService
+        from repro.service.service import CheckService
         assert api.CheckSession is CheckSession
         assert api.EvaluationSession is EvaluationSession
         assert api.CheckService is CheckService
@@ -24,7 +24,7 @@ class TestSurface:
 
     def test_store_and_watch_names_are_the_real_classes(self):
         from repro.service.watch import WatchSession, WindowSource
-        from repro.store import VerdictStore
+        from repro.store.store import VerdictStore
         from repro.store.query import StoredVerdict, VerdictFilter
         assert api.VerdictStore is VerdictStore
         assert api.VerdictFilter is VerdictFilter

@@ -1,0 +1,118 @@
+"""One import surface: ``repro.api`` for callers, the defining module
+for everything else.
+
+These tests keep the surface from growing back: the retired spellings
+stay gone, ``repro.api.__all__`` is pinned to the names its callers
+reach, package ``__init__`` files hold only their docstrings, and no
+module below the facade imports it.
+"""
+
+import ast
+import importlib
+import pathlib
+
+import pytest
+
+import repro
+from repro import api
+
+SRC = pathlib.Path(repro.__file__).parent
+
+#: exactly the names the CLI, ``examples/``, ``tests/``, ``benchmarks/``
+#: and ``e2ebench/`` reach through ``repro.api``
+API_NAMES = (
+    "ActivityAnalyzer", "AuthError", "BlockVerdict", "BuildCache",
+    "BuildSystem", "CachePolicy", "CheckService", "CheckSession",
+    "Config", "Corpus", "CorpusMismatchError", "CorpusSpec",
+    "CrashPoint", "DeadBlockAnalyzer", "DeterministicRng",
+    "EXPERIMENTS", "EvaluationSession", "EventLog", "FaultInjector",
+    "FaultPlan", "FaultPlanError", "HazardKind", "JMakeOptions",
+    "JanitorFinder", "JanitorViewCriteria", "JournalError",
+    "JsonlSink", "LEVELS", "MetricsRegistry", "MutationEngine",
+    "MutationOverlay", "NULL_INJECTOR", "OUT_DIR_DEFAULTS",
+    "OpenMetricsSink", "Patch", "PersonaKind", "ReconnectPolicy",
+    "Repository", "RetryPolicy", "SCHEMA_VERSION", "ServiceConfig",
+    "SimulatedCrashError", "Snapshotter", "StoreError",
+    "StoredVerdict", "SyntheticTrafficSource", "Tracer",
+    "TransportError", "Tristate", "VcsError", "VerdictFilter",
+    "VerdictLedger", "VerdictStore", "WatchConfig", "WatchSession",
+    "WindowSource", "WorkerClient", "atomic_write_json",
+    "atomic_write_text", "build_corpus", "check_commit", "check_patch",
+    "collect_substrate_metrics", "configure_logging", "diff_texts",
+    "evaluate", "extract_changed_files", "figure5_overall",
+    "generate_tree", "histogram_quantiles", "ingest_ledger",
+    "janitor_report", "migrate_record", "open_store",
+    "parse_openmetrics", "query_verdicts", "read_jsonl",
+    "render_span_tree", "resolve_outputs", "scaled_criteria", "serve",
+    "span_count", "table1", "table2", "table3", "table4",
+    "validate_event_record", "validate_jobs",
+    "validate_snapshot_record", "watch", "write_chrome_trace",
+    "write_markdown_report",
+)
+
+
+def _parse(path: pathlib.Path) -> ast.Module:
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+class TestRemovedSpellings:
+    @pytest.mark.parametrize("module, name", [
+        ("repro.core.jmake", "JMake"),
+        ("repro.evalsuite.runner", "EvaluationRunner"),
+        ("repro.errors", "ServiceOverloadError"),
+        ("repro.service", "WatchSession"),
+        ("repro.journal", "VerdictStore"),
+        ("repro.api", "JMake"),
+    ])
+    def test_is_gone(self, module, name):
+        with pytest.raises(AttributeError):
+            getattr(importlib.import_module(module), name)
+
+
+class TestFacade:
+    def test_all_is_pinned(self):
+        assert tuple(sorted(api.__all__)) == API_NAMES
+
+
+class TestPackagesReExportNothing:
+    @pytest.mark.parametrize(
+        "init", sorted(SRC.rglob("__init__.py")),
+        ids=lambda path: str(path.relative_to(SRC.parent)))
+    def test_init_is_only_its_docstring(self, init):
+        body = _parse(init).body
+        assert body and isinstance(body[0], ast.Expr) \
+            and isinstance(body[0].value, ast.Constant) \
+            and isinstance(body[0].value.value, str), \
+            f"{init} lost its docstring"
+        rest = body[1:]
+        if init.parent == SRC:
+            assert len(rest) == 1 and isinstance(rest[0], ast.Assign) \
+                and [target.id for target in rest[0].targets] \
+                == ["__version__"], "the root keeps only __version__"
+        else:
+            assert rest == [], f"{init} holds more than its docstring"
+
+
+def _imports_facade(tree: ast.Module) -> list[int]:
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            if any(alias.name == "repro.api" for alias in node.names):
+                lines.append(node.lineno)
+        elif isinstance(node, ast.ImportFrom):
+            if node.module == "repro.api" or (
+                    node.module == "repro"
+                    and any(alias.name == "api" for alias in node.names)):
+                lines.append(node.lineno)
+    return lines
+
+
+class TestNothingBelowTheFacadeImportsIt:
+    def test_no_module_imports_repro_api(self):
+        offenders = []
+        for path in sorted(SRC.rglob("*.py")):
+            if path.parent == SRC and path.name in ("api.py", "cli.py"):
+                continue
+            for lineno in _imports_facade(_parse(path)):
+                offenders.append(f"{path.relative_to(SRC.parent)}:{lineno}")
+        assert offenders == []

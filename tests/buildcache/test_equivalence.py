@@ -10,7 +10,7 @@ import pytest
 
 from repro.buildcache.cache import BuildCache, CachePolicy
 from repro.cc.toolchain import ToolchainRegistry
-from repro.evalsuite.runner import EvaluationRunner
+from repro.evalsuite.runner import EvaluationSession
 
 LIMIT = 50
 
@@ -23,29 +23,29 @@ def corpus(midsize_corpus):
 
 @pytest.fixture(scope="module")
 def uncached(corpus):
-    return EvaluationRunner(corpus, cache=False).run(limit=LIMIT)
+    return EvaluationSession(corpus, cache=False).run(limit=LIMIT)
 
 
 class TestCachedEqualsUncached:
     def test_cold_cache_byte_identical(self, corpus, uncached):
-        cached = EvaluationRunner(corpus).run(limit=LIMIT)
+        cached = EvaluationSession(corpus).run(limit=LIMIT)
         assert cached.canonical_records() == uncached.canonical_records()
 
     def test_warm_cache_byte_identical(self, corpus, uncached):
         shared = BuildCache()
-        EvaluationRunner(corpus, cache=shared).run(limit=LIMIT)
-        warm = EvaluationRunner(corpus, cache=shared).run(limit=LIMIT)
+        EvaluationSession(corpus, cache=shared).run(limit=LIMIT)
+        warm = EvaluationSession(corpus, cache=shared).run(limit=LIMIT)
         assert warm.canonical_records() == uncached.canonical_records()
         assert warm.cache_stats.kind("preprocess").hit_rate > 0.9
 
     def test_primed_cache_byte_identical(self, corpus, uncached):
         primed = BuildCache()
         primed.prime(corpus.tree, ToolchainRegistry())
-        cached = EvaluationRunner(corpus, cache=primed).run(limit=LIMIT)
+        cached = EvaluationSession(corpus, cache=primed).run(limit=LIMIT)
         assert cached.canonical_records() == uncached.canonical_records()
 
     def test_cache_stats_populated(self, corpus):
-        result = EvaluationRunner(corpus).run(limit=LIMIT)
+        result = EvaluationSession(corpus).run(limit=LIMIT)
         stats = result.cache_stats
         assert stats is not None
         assert stats.kind("preprocess").probes > 0
@@ -57,8 +57,8 @@ class TestCachedEqualsUncached:
 
 class TestParallelCached:
     def test_parallel_matches_serial_cached(self, corpus):
-        serial = EvaluationRunner(corpus).run(limit=30)
-        parallel = EvaluationRunner(corpus).run(limit=30, jobs=3)
+        serial = EvaluationSession(corpus).run(limit=30)
+        parallel = EvaluationSession(corpus).run(limit=30, jobs=3)
         assert len(parallel.patches) == len(serial.patches)
         for a, b in zip(serial.patches, parallel.patches):
             assert a.commit_id == b.commit_id
@@ -69,7 +69,7 @@ class TestParallelCached:
                 [f.status for f in b.files]
 
     def test_parallel_aggregates_worker_stats(self, corpus):
-        result = EvaluationRunner(corpus).run(limit=30, jobs=3)
+        result = EvaluationSession(corpus).run(limit=30, jobs=3)
         assert result.cache_stats is not None
         assert result.cache_stats.kind("preprocess").probes > 0
 
@@ -78,8 +78,8 @@ class TestProbeClockPolicy:
     def test_probe_clock_keeps_verdicts_compresses_time(self, corpus,
                                                         uncached):
         shared = BuildCache(CachePolicy(clock="probe"))
-        EvaluationRunner(corpus, cache=shared).run(limit=LIMIT)
-        warm = EvaluationRunner(corpus, cache=shared).run(limit=LIMIT)
+        EvaluationSession(corpus, cache=shared).run(limit=LIMIT)
+        warm = EvaluationSession(corpus, cache=shared).run(limit=LIMIT)
         verdicts = [(p.commit_id, p.certified,
                      [f.status for f in p.files]) for p in warm.patches]
         baseline = [(p.commit_id, p.certified,
@@ -93,8 +93,8 @@ class TestProbeClockPolicy:
 class TestJobsValidation:
     def test_jobs_zero_rejected(self, corpus):
         with pytest.raises(ValueError, match="positive"):
-            EvaluationRunner(corpus).run(limit=1, jobs=0)
+            EvaluationSession(corpus).run(limit=1, jobs=0)
 
     def test_jobs_negative_rejected(self, corpus):
         with pytest.raises(ValueError, match="positive"):
-            EvaluationRunner(corpus).run(limit=1, jobs=-2)
+            EvaluationSession(corpus).run(limit=1, jobs=-2)

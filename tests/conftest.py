@@ -6,7 +6,7 @@ tests, and several modules used to build near-identical corpora under
 different seeds. The shared instances live here instead.
 
 Sharing is safe because a built corpus is immutable from the runner's
-point of view: every :class:`EvaluationRunner` run checks commits out
+point of view: every :class:`EvaluationSession` run checks commits out
 into throwaway worktrees and never edits the repository or tree in
 place (the session-scoped ``corpus`` in ``tests/evalsuite/conftest.py``
 has relied on this from the start).

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.jmake import JMake, JMakeOptions
+from repro.core.jmake import CheckSession, JMakeOptions
 from repro.kernel.generator import generate_tree
 
 
@@ -13,12 +13,12 @@ def tree():
 
 @pytest.fixture
 def jmake(tree):
-    return JMake.from_generated_tree(tree)
+    return CheckSession.from_generated_tree(tree)
 
 
 @pytest.fixture
 def worktree(tree):
-    return JMake.worktree_for_files(tree.files)
+    return CheckSession.worktree_for_files(tree.files)
 
 
 def edit_file(tree, worktree, path, old, new):
@@ -30,7 +30,7 @@ def edit_file(tree, worktree, path, old, new):
     edited = original.replace(old, new)
     files = dict(tree.files)
     files[path] = edited
-    new_worktree = JMake.worktree_for_files(files)
+    new_worktree = CheckSession.worktree_for_files(files)
     file_diff = diff_texts(path, original, edited)
     assert file_diff is not None
     return Patch(files=[file_diff]), new_worktree

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.jmake import JMake, JMakeOptions
+from repro.core.jmake import CheckSession, JMakeOptions
 from repro.kernel.generator import KernelTreeGenerator, generate_tree
 from repro.kernel.layout import default_tree_spec
 from repro.vcs.diff import Patch, diff_texts
@@ -26,7 +26,7 @@ def edit_many(tree, paths):
         assert edited != original, path
         files[path] = edited
         file_diffs.append(diff_texts(path, original, edited))
-    worktree = JMake.worktree_for_files(files)
+    worktree = CheckSession.worktree_for_files(files)
     return worktree, Patch(files=file_diffs)
 
 
@@ -47,7 +47,7 @@ class TestWidePatch:
                 targets.append(path)
         assert len(targets) > 55, f"only {len(targets)} editable drivers"
         worktree, patch = edit_many(big_tree, targets)
-        jmake = JMake.from_generated_tree(
+        jmake = CheckSession.from_generated_tree(
             big_tree, options=JMakeOptions(batch_limit=50))
         report = jmake.check_patch(worktree, patch)
 
@@ -75,8 +75,7 @@ class TestWidePatch:
         plan = MutationEngine().plan(header, text, [lineno])
         assert plan.mutations
 
-        from repro.core.jmake import JMake
-        worktree = JMake.worktree_for_files(big_tree.files)
+        worktree = CheckSession.worktree_for_files(big_tree.files)
         build = BuildSystem(worktree.as_file_provider(),
                             path_lister=worktree.paths)
         selector = ArchSelector(build, worktree.paths,
@@ -121,8 +120,8 @@ class TestWidePatch:
         files[header] = edited
         file_diffs.append(diff_texts(header, original, edited))
 
-        worktree = JMake.worktree_for_files(files)
-        report = JMake.from_generated_tree(big_tree).check_patch(
+        worktree = CheckSession.worktree_for_files(files)
+        report = CheckSession.from_generated_tree(big_tree).check_patch(
             worktree, Patch(files=file_diffs))
         assert header in report.file_reports
         assert all(path in report.file_reports for path in c_files)

@@ -7,7 +7,7 @@ preprocessor-hostile source) and asserts a structured verdict.
 
 import pytest
 
-from repro.core.jmake import JMake, JMakeOptions
+from repro.core.jmake import CheckSession, JMakeOptions
 from repro.core.report import FileStatus
 from repro.kernel.generator import generate_tree
 from repro.vcs.diff import Patch, diff_texts
@@ -24,9 +24,9 @@ def check_edited(tree, files, path, old, new, **options):
     assert edited != original
     files = dict(files)
     files[path] = edited
-    worktree = JMake.worktree_for_files(files)
+    worktree = CheckSession.worktree_for_files(files)
     patch = Patch(files=[diff_texts(path, original, edited)])
-    jmake = JMake.from_generated_tree(
+    jmake = CheckSession.from_generated_tree(
         tree, options=JMakeOptions(**options) if options else None)
     return jmake.check_patch(worktree, patch)
 
@@ -85,14 +85,14 @@ class TestPatchShapes:
         edited = "int ghost = 2;\n"
         patch = Patch(files=[diff_texts("drivers/ghost.c",
                                         original, edited)])
-        worktree = JMake.worktree_for_files(dict(tree.files))
-        report = JMake.from_generated_tree(tree) \
+        worktree = CheckSession.worktree_for_files(dict(tree.files))
+        report = CheckSession.from_generated_tree(tree) \
             .check_patch(worktree, patch)
         assert "drivers/ghost.c" not in report.file_reports
 
     def test_empty_patch(self, tree):
-        worktree = JMake.worktree_for_files(dict(tree.files))
-        report = JMake.from_generated_tree(tree) \
+        worktree = CheckSession.worktree_for_files(dict(tree.files))
+        report = CheckSession.from_generated_tree(tree) \
             .check_patch(worktree, Patch())
         assert report.file_reports == {}
         assert not report.certified
@@ -112,9 +112,9 @@ class TestPatchShapes:
         edited = ("#include <linux/kernel.h>\n\n"
                   "int rewritten(void)\n{\n\treturn 7;\n}\n")
         files[target] = edited
-        worktree = JMake.worktree_for_files(files)
+        worktree = CheckSession.worktree_for_files(files)
         patch = Patch(files=[diff_texts(target, original, edited)])
-        report = JMake.from_generated_tree(tree) \
+        report = CheckSession.from_generated_tree(tree) \
             .check_patch(worktree, patch)
         assert report.file_reports[target].status in (
             FileStatus.OK, FileStatus.LINES_NOT_COMPILED)
@@ -128,9 +128,9 @@ class TestWorktreeHygiene:
         original = files[target]
         edited = original.replace("int status = 0;", "int status = 9;")
         files[target] = edited
-        worktree = JMake.worktree_for_files(files)
+        worktree = CheckSession.worktree_for_files(files)
         patch = Patch(files=[diff_texts(target, original, edited)])
-        JMake.from_generated_tree(tree).check_patch(worktree, patch)
+        CheckSession.from_generated_tree(tree).check_patch(worktree, patch)
         assert worktree.overlay == {}
         assert worktree.read(target) == edited  # committed state intact
 
@@ -143,8 +143,8 @@ class TestWorktreeHygiene:
         patch = Patch(files=[diff_texts(target, original, edited)])
 
         def run():
-            worktree = JMake.worktree_for_files(files)
-            report = JMake.from_generated_tree(tree) \
+            worktree = CheckSession.worktree_for_files(files)
+            report = CheckSession.from_generated_tree(tree) \
                 .check_patch(worktree, patch)
             file_report = report.file_reports[target]
             return (file_report.status, tuple(file_report.useful_archs),

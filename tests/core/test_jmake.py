@@ -6,7 +6,7 @@ verdict the paper's design demands.
 
 import pytest
 
-from repro.core.jmake import JMake, JMakeOptions
+from repro.core.jmake import CheckSession, JMakeOptions
 from repro.core.report import FileStatus
 from repro.kernel.layout import HazardKind
 
@@ -96,7 +96,7 @@ class TestHazardVerdicts:
         info = first_with_hazard(tree, HazardKind.MODULE_ONLY)
         if tree.info[info.path].subsystem in ("fs/ext4", "net/core", "mm"):
             pytest.skip("bool subsystem cannot build as module")
-        jmake = JMake.from_generated_tree(
+        jmake = CheckSession.from_generated_tree(
             tree, options=JMakeOptions(use_allmodconfig=True))
         report = run(jmake, tree, info.path,
                      "_module_cleanup(void)", "_module_cleanup_v2(void)")
@@ -138,7 +138,7 @@ class TestHazardVerdicts:
                          .replace(slow.group(0), "\treturn v + 99;")
         files = dict(tree.files)
         files[info.path] = edited
-        worktree = JMake.worktree_for_files(files)
+        worktree = CheckSession.worktree_for_files(files)
         combined = Patch(files=[diff_texts(info.path, original, edited)])
         report = jmake.check_patch(worktree, combined)
         file_report = report.file_reports[info.path]
@@ -193,7 +193,7 @@ class TestHeaderHandling:
         files = dict(tree.files)
         files[header] = header_new
         files[c_path] = c_new
-        worktree = JMake.worktree_for_files(files)
+        worktree = CheckSession.worktree_for_files(files)
         patch = Patch(files=[
             diff_texts(header, tree.files[header], header_new),
             diff_texts(c_path, tree.files[c_path], c_new),
@@ -253,7 +253,7 @@ class TestSpecialCases:
         assert report.commit_id == change.id
 
     def test_rebuild_trigger_costs_heavily(self, tree):
-        jmake = JMake.from_generated_tree(tree)
+        jmake = CheckSession.from_generated_tree(tree)
         path = "arch/powerpc/kernel/prom_init.c"
         patch, worktree = edit_file(tree, None, path,
                                     "int delay = 300;",

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.core.jmake import JMake, JMakeOptions
+from repro.core.jmake import CheckSession, JMakeOptions
 from repro.core.report import FileStatus
 from repro.kernel.generator import KernelTreeGenerator, generate_tree
 from repro.kernel.layout import default_tree_spec
@@ -22,9 +22,9 @@ def run_check(tree, path, old, new, options=None):
     assert edited != original
     files = dict(tree.files)
     files[path] = edited
-    worktree = JMake.worktree_for_files(files)
+    worktree = CheckSession.worktree_for_files(files)
     patch = Patch(files=[diff_texts(path, original, edited)])
-    jmake = JMake.from_generated_tree(tree, options=options)
+    jmake = CheckSession.from_generated_tree(tree, options=options)
     return jmake.check_patch(worktree, patch)
 
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.evalsuite.runner import EvaluationRunner
+from repro.evalsuite.runner import EvaluationSession
 from repro.workload.corpus import CorpusSpec, build_corpus
 
 from tests.faults.conftest import storm_plan  # noqa: F401  (fixture)
@@ -18,4 +18,4 @@ def corpus():
 
 @pytest.fixture(scope="session")
 def result(corpus):
-    return EvaluationRunner(corpus).run()
+    return EvaluationSession(corpus).run()

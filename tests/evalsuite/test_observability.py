@@ -11,7 +11,7 @@ import sys
 
 import pytest
 
-from repro.evalsuite.runner import EvaluationRunner
+from repro.evalsuite.runner import EvaluationSession
 from repro.obs.export import chrome_trace, span_count, write_chrome_trace
 
 
@@ -23,7 +23,7 @@ def corpus(small_corpus):
 
 @pytest.fixture(scope="module")
 def observed(corpus):
-    return EvaluationRunner(corpus, observe=True).run(limit=12)
+    return EvaluationSession(corpus, observe=True).run(limit=12)
 
 
 class TestObservedRun:
@@ -51,7 +51,7 @@ class TestObservedRun:
             len(observed.patches)
 
     def test_observation_does_not_perturb_verdicts(self, corpus, observed):
-        plain = EvaluationRunner(corpus).run(limit=12)
+        plain = EvaluationSession(corpus).run(limit=12)
         assert plain.span_trees is None
         assert plain.metrics is None
         assert plain.canonical_records() == observed.canonical_records()
@@ -70,9 +70,9 @@ class TestObservedRun:
 class TestParallelObservation:
     def test_parallel_trace_deterministic_across_runs(self, corpus,
                                                       tmp_path):
-        first = EvaluationRunner(corpus, observe=True).run(limit=12,
+        first = EvaluationSession(corpus, observe=True).run(limit=12,
                                                            jobs=2)
-        second = EvaluationRunner(corpus, observe=True).run(limit=12,
+        second = EvaluationSession(corpus, observe=True).run(limit=12,
                                                             jobs=2)
         a, b = str(tmp_path / "a.json"), str(tmp_path / "b.json")
         write_chrome_trace(a, first.span_trees)
@@ -80,7 +80,7 @@ class TestParallelObservation:
         assert open(a).read() == open(b).read()
 
     def test_parallel_lanes_and_order(self, corpus):
-        result = EvaluationRunner(corpus, observe=True).run(limit=12,
+        result = EvaluationSession(corpus, observe=True).run(limit=12,
                                                             jobs=3)
         for index, tree in enumerate(result.span_trees):
             assert tree["attributes"]["commit.index"] == index
@@ -97,7 +97,7 @@ class TestParallelObservation:
         cache sequentially while each forked worker warms its own copy,
         so hit patterns differ even though replay-clock timings do not.
         """
-        parallel = EvaluationRunner(corpus, observe=True).run(limit=12,
+        parallel = EvaluationSession(corpus, observe=True).run(limit=12,
                                                               jobs=2)
         assert len(parallel.span_trees) == len(observed.span_trees)
         volatile = ("worker", "cached", "cache_hits")
@@ -122,7 +122,7 @@ class TestParallelObservation:
             compare(a, b)
 
     def test_parallel_counters_match_serial(self, corpus, observed):
-        parallel = EvaluationRunner(corpus, observe=True).run(limit=12,
+        parallel = EvaluationSession(corpus, observe=True).run(limit=12,
                                                               jobs=2)
         # integer counters must agree exactly; histogram sums are float
         # accumulations and may drift in the last bit, so compare counts
@@ -136,8 +136,8 @@ class TestParallelObservation:
 
     def test_parallel_verdicts_unchanged_by_observation(self, corpus):
         """The acceptance surface: observe on/off at the same jobs."""
-        plain = EvaluationRunner(corpus).run(limit=12, jobs=2)
-        observed = EvaluationRunner(corpus, observe=True).run(limit=12,
+        plain = EvaluationSession(corpus).run(limit=12, jobs=2)
+        observed = EvaluationSession(corpus, observe=True).run(limit=12,
                                                               jobs=2)
         assert observed.canonical_records() == plain.canonical_records()
 

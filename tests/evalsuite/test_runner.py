@@ -1,7 +1,7 @@
 """Tests for the evaluation driver."""
 
 from repro.core.report import FileStatus
-from repro.evalsuite.runner import EvaluationRunner, scaled_criteria
+from repro.evalsuite.runner import EvaluationSession, scaled_criteria
 from repro.workload.personas import PersonaKind
 
 
@@ -47,11 +47,11 @@ class TestRunShape:
         assert 0 < len(janitor_durations) < len(durations)
 
     def test_limit(self, corpus):
-        small = EvaluationRunner(corpus).run(limit=10)
+        small = EvaluationSession(corpus).run(limit=10)
         assert len(small.patches) <= 10
 
     def test_ground_truth_janitors_option(self, corpus):
-        runner = EvaluationRunner(corpus)
+        runner = EvaluationSession(corpus)
         result = runner.run(limit=5, use_ground_truth_janitors=True)
         expected = {p.email for p in corpus.roster
                     if p.kind is PersonaKind.JANITOR}

@@ -11,7 +11,7 @@ on every eligible attempt is run over the shared corpus. The contract:
 
 import pytest
 
-from repro.evalsuite.runner import EvaluationRunner
+from repro.evalsuite.runner import EvaluationSession
 from repro.faults.plan import (
     FaultPlan,
     FaultSpec,
@@ -34,7 +34,7 @@ PIPELINE_MATRIX = [combo for combo in valid_kind_sites()
 
 @pytest.fixture(scope="module")
 def baseline(small_corpus):
-    return EvaluationRunner(small_corpus).run(limit=LIMIT)
+    return EvaluationSession(small_corpus).run(limit=LIMIT)
 
 
 @pytest.fixture(scope="module", params=PIPELINE_MATRIX,
@@ -44,7 +44,7 @@ def faulted_combo(request, small_corpus):
     kind, site = request.param
     plan = FaultPlan(seed="matrix", specs=[
         FaultSpec(kind=kind, site=site, times=10)])
-    result = EvaluationRunner(small_corpus, fault_plan=plan,
+    result = EvaluationSession(small_corpus, fault_plan=plan,
                               observe=True).run(limit=LIMIT)
     return kind, site, result
 
@@ -102,6 +102,6 @@ class TestCacheSiteFaultsAreHarmless:
                                             kind, site):
         plan = FaultPlan(seed="matrix", specs=[
             FaultSpec(kind=kind, site=site, times=10)])
-        result = EvaluationRunner(small_corpus,
+        result = EvaluationSession(small_corpus,
                                   fault_plan=plan).run(limit=LIMIT)
         assert result.canonical_records() == baseline.canonical_records()

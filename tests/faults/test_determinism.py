@@ -11,7 +11,7 @@ import sys
 
 import pytest
 
-from repro.evalsuite.runner import EvaluationRunner
+from repro.evalsuite.runner import EvaluationSession
 from repro.faults.plan import FaultPlan, FaultSpec
 
 LIMIT = 30
@@ -20,33 +20,33 @@ LIMIT = 30
 @pytest.fixture(scope="module")
 def faulted(small_corpus, storm_plan):
     """The reference run: serial, cached, unobserved, faults active."""
-    return EvaluationRunner(small_corpus,
+    return EvaluationSession(small_corpus,
                             fault_plan=storm_plan).run(limit=LIMIT)
 
 
 class TestFaultedRunIsDeterministic:
     def test_rerun_is_byte_identical(self, small_corpus, storm_plan,
                                      faulted):
-        again = EvaluationRunner(small_corpus,
+        again = EvaluationSession(small_corpus,
                                  fault_plan=storm_plan).run(limit=LIMIT)
         assert again.canonical_records() == faulted.canonical_records()
 
     @pytest.mark.skipif(sys.platform == "win32",
                         reason="fork start method required")
     def test_jobs_invariant(self, small_corpus, storm_plan, faulted):
-        parallel = EvaluationRunner(
+        parallel = EvaluationSession(
             small_corpus, fault_plan=storm_plan).run(limit=LIMIT, jobs=4)
         assert parallel.canonical_records() == faulted.canonical_records()
 
     def test_cache_invariant(self, small_corpus, storm_plan, faulted):
-        uncached = EvaluationRunner(
+        uncached = EvaluationSession(
             small_corpus, cache=False,
             fault_plan=storm_plan).run(limit=LIMIT)
         assert uncached.canonical_records() == faulted.canonical_records()
 
     def test_observability_invariant(self, small_corpus, storm_plan,
                                      faulted):
-        observed = EvaluationRunner(
+        observed = EvaluationSession(
             small_corpus, observe=True,
             fault_plan=storm_plan).run(limit=LIMIT)
         assert observed.canonical_records() == faulted.canonical_records()
@@ -60,7 +60,7 @@ class TestStormActuallyStorms:
 
     def test_faulted_run_differs_from_baseline(self, small_corpus,
                                                faulted):
-        baseline = EvaluationRunner(small_corpus).run(limit=LIMIT)
+        baseline = EvaluationSession(small_corpus).run(limit=LIMIT)
         assert baseline.canonical_records() != faulted.canonical_records()
 
     def test_reports_follow_the_plan(self, faulted, storm_plan):

@@ -9,7 +9,7 @@ explicit :attr:`VmlinuxBuild.verdict` (and, at the evaluation level,
 
 import pytest
 
-from repro.evalsuite.runner import EvaluationRunner
+from repro.evalsuite.runner import EvaluationSession
 from repro.faults.plan import FaultPlan, FaultSpec
 from repro.kbuild.build import BuildError, VmlinuxBuild
 
@@ -66,7 +66,7 @@ def arm_benched(small_corpus):
     """A run whose every arm configuration fails persistently."""
     plan = FaultPlan(seed="bench-arm", specs=[
         FaultSpec(kind="config_fail", arch="arm", times=10)])
-    return EvaluationRunner(small_corpus, fault_plan=plan).run(limit=10)
+    return EvaluationSession(small_corpus, fault_plan=plan).run(limit=10)
 
 
 class TestRunnerPartial:

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.errors import JournalCorruptError, JournalError
-from repro.journal import CHECKPOINT_VERSION, VerdictLedger
+from repro.journal.ledger import CHECKPOINT_VERSION, VerdictLedger
 
 
 def emit_n(ledger, count, start=0):

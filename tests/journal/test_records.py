@@ -8,7 +8,7 @@ from repro.core.report import FileStatus
 from repro.errors import SchemaError
 from repro.evalsuite.runner import FileInstanceRecord, PatchRecord
 from repro.faults.inject import FaultReport
-from repro.journal import (
+from repro.journal.records import (
     RECORD_VERSION,
     patch_record_from_dict,
     patch_record_to_dict,

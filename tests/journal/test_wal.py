@@ -12,11 +12,7 @@ from repro.errors import (
 )
 from repro.faults.inject import FaultInjector
 from repro.faults.plan import FaultPlan, FaultSpec
-from repro.journal import (
-    Journal,
-    frame_record,
-    scan_frames,
-)
+from repro.journal.wal import Journal, frame_record, scan_frames
 
 HEADER = struct.Struct(">II")
 

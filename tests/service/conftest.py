@@ -20,7 +20,7 @@ import pickle
 import pytest
 
 from repro.core.changes import extract_changed_files
-from repro.service import live_transports
+from repro.service.transport.base import live_transports
 from repro.workload.corpus import Corpus
 
 from tests.faults.conftest import storm_plan  # noqa: F401  (fixture)

@@ -5,7 +5,8 @@ import asyncio
 import pytest
 
 from repro.errors import ServiceDrainingError, ServiceOverloadedError
-from repro.service import CheckRequest, CheckService, ServiceConfig
+from repro.service.request import CheckRequest
+from repro.service.service import CheckService, ServiceConfig
 
 
 class TestAdmission:

@@ -31,11 +31,8 @@ from repro.obs.events import (
     EVENT_WORKER_SPAWNED,
     EventLog,
 )
-from repro.service import (
-    CheckService,
-    ServiceConfig,
-    SupervisorConfig,
-)
+from repro.service.service import CheckService, ServiceConfig
+from repro.service.supervisor import SupervisorConfig
 
 LIMIT = 3
 
@@ -227,7 +224,7 @@ class TestJournalDedup:
         # raw WAL frames are read back, so a duplicate append (requeue
         # racing a verdict) would be visible even though the ledger's
         # dedup map would mask it
-        from repro.journal import Journal
+        from repro.journal.wal import Journal
         replay = Journal(journal).replay()
         keys = [entry["k"] for entry in replay.records
                 if "k" in entry]

@@ -20,7 +20,7 @@ import pytest
 
 from repro.evalsuite.runner import EvaluationSession
 from repro.faults.plan import FaultPlan, FaultSpec
-from repro.service import ServiceConfig
+from repro.service.service import ServiceConfig
 
 LIMIT = 30
 

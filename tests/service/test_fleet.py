@@ -37,13 +37,11 @@ from repro.obs.events import (
     EVENT_WORKER_REJOINED,
     EventLog,
 )
-from repro.service import (
-    CheckRequest,
-    CheckService,
-    ServiceConfig,
-    SupervisorConfig,
-)
-from repro.service.transport import create_transport, wire
+from repro.service.request import CheckRequest
+from repro.service.service import CheckService, ServiceConfig
+from repro.service.supervisor import SupervisorConfig
+from repro.service.transport import wire
+from repro.service.transport.base import create_transport
 from repro.service.transport.client import ReconnectPolicy, WorkerClient
 
 LIMIT = 3
@@ -491,7 +489,7 @@ class TestPartitionStormDifferential:
         assert faulted.canonical_records() == \
             reference.canonical_records()
 
-        from repro.journal import Journal
+        from repro.journal.wal import Journal
         replay = Journal(journal).replay()
         keys = [entry["k"] for entry in replay.records
                 if "k" in entry]

@@ -6,7 +6,8 @@ import pytest
 
 from repro.errors import ServiceDrainingError
 from repro.faults.plan import FaultPlan, FaultSpec
-from repro.service import CheckRequest, CheckService, ServiceConfig
+from repro.service.request import CheckRequest
+from repro.service.service import CheckService, ServiceConfig
 
 
 @pytest.fixture(scope="module")

@@ -14,14 +14,10 @@ import pytest
 from repro.errors import ServiceOverloadedError
 from repro.faults.inject import FaultInjector
 from repro.faults.plan import FaultPlan, FaultSpec
-from repro.service import (
-    CheckRequest,
-    CheckService,
-    ServiceConfig,
-    ShardPool,
-    ShardSupervisor,
-    SupervisorConfig,
-)
+from repro.service.request import CheckRequest
+from repro.service.service import CheckService, ServiceConfig
+from repro.service.shards import ShardPool
+from repro.service.supervisor import ShardSupervisor, SupervisorConfig
 
 FAST = SupervisorConfig(poll_interval_seconds=0.005,
                         hang_deadline_seconds=0.05,

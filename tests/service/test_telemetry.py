@@ -27,14 +27,10 @@ from repro.obs.events import (
 )
 from repro.obs.sinks import CallbackSink
 from repro.obs.timeseries import Snapshotter
-from repro.service import (
-    CheckRequest,
-    CheckService,
-    ServiceConfig,
-    ShardPool,
-    ShardSupervisor,
-    SupervisorConfig,
-)
+from repro.service.request import CheckRequest
+from repro.service.service import CheckService, ServiceConfig
+from repro.service.shards import ShardPool
+from repro.service.supervisor import ShardSupervisor, SupervisorConfig
 
 FAST = SupervisorConfig(poll_interval_seconds=0.005,
                         hang_deadline_seconds=0.05,

@@ -10,14 +10,10 @@ import asyncio
 
 import pytest
 
-from repro.service import (
-    START_METHODS,
-    TRANSPORT_KINDS,
-    CheckRequest,
-    CheckService,
-    ServiceConfig,
-    create_transport,
-)
+from repro.service.request import CheckRequest
+from repro.service.service import START_METHODS, CheckService, ServiceConfig
+from repro.service.transport.base import TRANSPORT_KINDS, create_transport
+from repro.service.transport.remote import RemoteTransport
 
 LIMIT = 3
 
@@ -124,6 +120,40 @@ class TestRemoteTransports:
         # check_commits already drained; a second drain is a no-op
         asyncio.run(service.drain())
         assert service.health()["status"] == "down"
+
+
+class _GatedTransport(RemoteTransport):
+    """A remote transport whose worker says HELLO when the test says so."""
+
+    kind = "gated"
+
+    def _spawn(self, slot) -> None:
+        slot.process = None
+        slot.channel = None
+
+    async def _connect(self, slot) -> None:
+        await self.hello
+
+
+class TestDrainRace:
+    def test_drain_stops_a_slot_whose_hello_races_the_cancel(
+            self, small_corpus):
+        """A respawned worker's HELLO lands in the same loop step as
+        drain's cancel. Before Python 3.12, ``asyncio.wait_for`` then
+        returns instead of raising, so the cancel alone would leave the
+        slot loop waiting on the empty queue and drain would never
+        finish."""
+        transport = _GatedTransport(CheckService(
+            small_corpus, config=ServiceConfig(transport="mp", jobs=1)))
+
+        async def main() -> None:
+            transport.hello = asyncio.get_running_loop().create_future()
+            await transport.start()
+            await asyncio.sleep(0)  # the slot loop now awaits HELLO
+            transport.hello.set_result(None)
+            await asyncio.wait_for(transport.drain(), timeout=5)
+
+        asyncio.run(main())
 
 
 class TestStartMethods:

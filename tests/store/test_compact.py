@@ -11,7 +11,7 @@ import pytest
 
 from repro.errors import StoreError
 from repro.obs.events import EVENT_STORE_COMPACTED, EventLog
-from repro.store import VerdictStore
+from repro.store.store import VerdictStore
 from tests.store.conftest import build_report
 
 AUTHORS = [("Dan Carpenter", "dan@example.org"),

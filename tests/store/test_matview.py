@@ -1,6 +1,7 @@
 """The §IV janitor materialized view: incremental, transactional."""
 
-from repro.store import JanitorViewCriteria, VerdictStore
+from repro.store.matview import JanitorViewCriteria
+from repro.store.store import VerdictStore
 from tests.store.conftest import v4_record
 
 

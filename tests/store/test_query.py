@@ -5,7 +5,8 @@ import pytest
 from repro import api
 from repro.errors import StoreError
 from repro.core.report import FileStatus
-from repro.store import VerdictFilter, VerdictStore
+from repro.store.query import VerdictFilter
+from repro.store.store import VerdictStore
 from tests.store.conftest import v4_record
 
 

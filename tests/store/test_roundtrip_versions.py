@@ -11,7 +11,7 @@ import pytest
 
 from repro import api
 from repro.core.report import migrate_record
-from repro.journal import VerdictLedger
+from repro.journal.ledger import VerdictLedger
 from repro.store.schema import canonical_json
 from tests.store.conftest import v2_record, v3_record, v4_record
 

@@ -6,13 +6,13 @@ import pytest
 
 from repro.core.report import migrate_record
 from repro.errors import StoreError
-from repro.store import VerdictStore
 from repro.store.schema import (
     STORE_SCHEMA_VERSION,
     canonical_json,
     file_rows,
     record_rows,
 )
+from repro.store.store import VerdictStore
 from tests.store.conftest import v3_record, v4_record
 
 

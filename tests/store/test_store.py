@@ -5,7 +5,7 @@ import pytest
 from repro.errors import SchemaError, StoreError
 from repro.obs.events import EventLog
 from repro.obs.metrics import MetricsRegistry
-from repro.store import VerdictStore
+from repro.store.store import VerdictStore
 from tests.store.conftest import v4_record
 
 

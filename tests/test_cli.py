@@ -435,19 +435,22 @@ class TestQuery:
 
 
 class TestOutputFlagNotices:
-    """The unified --out-dir umbrella: old per-sink flags keep working
-    but print a deprecation notice on stderr (never stdout — the
-    recovery CI job diffs stdout)."""
+    """The unified --out-dir umbrella: a per-sink flag overrides its
+    sink's conventional filename and prints no notice (stderr stays
+    empty; the recovery CI job diffs stdout)."""
 
     def test_evaluate_journal_flag_notices_on_stderr(self, capsys,
                                                      tmp_path):
-        journal = str(tmp_path / "run.jnl")
+        out_dir = tmp_path / "outs"
+        journal = tmp_path / "elsewhere.jnl"
         assert main(["evaluate", "--commits", "40", "--limit", "4",
-                     "--seed", "cli-test", "--journal", journal]) == 0
+                     "--seed", "cli-test", "--out-dir", str(out_dir),
+                     "--journal", str(journal)]) == 0
         captured = capsys.readouterr()
-        assert "--journal is deprecated" in captured.err
-        assert "prefer --out-dir" in captured.err
-        assert "deprecated" not in captured.out
+        assert captured.err == ""
+        assert journal.exists()
+        assert not (out_dir / "run.jnl").exists()
+        assert f"journal {journal}:" in captured.out
 
     def test_evaluate_out_dir_places_the_journal(self, capsys,
                                                  tmp_path):
@@ -462,14 +465,19 @@ class TestOutputFlagNotices:
 
     def test_serve_sink_flags_notice_and_still_work(self, capsys,
                                                     tmp_path):
-        stats = str(tmp_path / "stats.json")
+        out_dir = tmp_path / "serve-outs"
+        stats = tmp_path / "elsewhere-stats.json"
         assert main(["serve", "--commits", "30", "--limit", "2",
                      "--seed", "cli-test", "--shards", "2",
-                     "--stats-out", stats]) == 0
+                     "--out-dir", str(out_dir),
+                     "--stats-out", str(stats)]) == 0
         captured = capsys.readouterr()
-        assert "--stats-out is deprecated" in captured.err
+        assert captured.err == ""
         assert f"stats written to {stats}" in captured.out
-        assert json.loads((tmp_path / "stats.json").read_text())
+        assert json.loads(stats.read_text())
+        assert not (out_dir / "stats.json").exists()
+        for name in ("metrics.jsonl", "events.jsonl"):
+            assert (out_dir / name).exists(), name
 
     def test_serve_out_dir_fans_out_every_sink(self, capsys, tmp_path):
         out_dir = tmp_path / "serve-outs"

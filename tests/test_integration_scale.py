@@ -9,7 +9,7 @@ import pytest
 
 from repro.core.report import FileStatus
 from repro.evalsuite.experiments import EXPERIMENTS
-from repro.evalsuite.runner import EvaluationRunner
+from repro.evalsuite.runner import EvaluationSession
 from repro.evalsuite.tables import table3, table4
 from repro.workload.corpus import CorpusSpec, build_corpus
 
@@ -20,7 +20,7 @@ def result():
                                      history_commits=300,
                                      eval_commits=400,
                                      regular_developers=20))
-    return EvaluationRunner(corpus).run(jobs=2)
+    return EvaluationSession(corpus).run(jobs=2)
 
 
 class TestHeadline:
