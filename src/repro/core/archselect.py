@@ -17,18 +17,88 @@ Candidate order for a file:
 
 Unsupported (broken-toolchain) candidates are reported so JMake can emit
 the "unsupported architecture required" verdict.
+
+Steps 3 and 4 answer from an index of the arch/ files built once per
+distinct arch/ content (:func:`_arch_index`), not from a regex scan of
+every arch/ file per variable: the arch/ subtree rarely changes between
+commits, while the variables differ for every selected file.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Callable
+from functools import lru_cache
+from types import MappingProxyType
+from typing import Callable, Mapping, NamedTuple
 from repro.errors import MakefileNotFoundError
 from repro.kbuild.build import BuildSystem
 from repro.obs.metrics import NULL_METRICS
 from repro.obs.tracer import NULL_TRACER
 from repro.util.rng import DeterministicRng
+
+
+#: ``v`` matches ``\bCONFIG_<v>\b`` exactly when it is the whole word
+#: run after some ``\bCONFIG_`` (variables are ``[A-Za-z0-9_]+``).
+_MENTION_RE = re.compile(r"\bCONFIG_(\w+)")
+#: ``CONFIG_<v>=`` is a substring exactly when some ``CONFIG_``
+#: occurrence, overlaps included, is followed by the run ``v`` and ``=``.
+_ASSIGN_RE = re.compile(r"(?=CONFIG_([A-Za-z0-9_]+)=)")
+_DEFINE_PREFIX = "config "
+
+
+class _TextFacts(NamedTuple):
+    """What one arch/ file text says about config variables."""
+    mentions: frozenset[str]  # v with \bCONFIG_<v>\b in the text
+    defines: frozenset[str]   # v with a line equal to "config <v>"
+    assigns: frozenset[str]   # v with "CONFIG_<v>=" in the text
+
+
+@lru_cache(maxsize=2048)
+def _text_facts(text: str) -> _TextFacts:
+    """Scan one arch/ file text, once per distinct content."""
+    return _TextFacts(
+        mentions=frozenset(_MENTION_RE.findall(text)),
+        defines=frozenset(line[len(_DEFINE_PREFIX):]
+                          for line in text.split("\n")
+                          if line.startswith(_DEFINE_PREFIX)),
+        assigns=frozenset(_ASSIGN_RE.findall(text)))
+
+
+class _ArchIndex(NamedTuple):
+    """Variable lookups over one arch/ content."""
+    #: variable -> arch/ subdirectories mentioning it, sorted
+    dirs: Mapping[str, tuple[str, ...]]
+    #: variable -> arch/**/configs/ files assigning it, in path order
+    configs: Mapping[str, tuple[str, ...]]
+
+
+@lru_cache(maxsize=16)
+def _arch_index(files: tuple[tuple[str, str], ...]) -> _ArchIndex:
+    """Index the ``(path, text)`` pairs of every arch/<d>/ file.
+
+    Keyed by content, so a commit or an overlay that changes an arch/
+    file looks up a different entry; only its changed texts are
+    rescanned.
+    """
+    dirs: dict[str, set[str]] = {}
+    configs: dict[str, list[str]] = {}
+    for path, text in files:
+        facts = _text_facts(text)
+        names = facts.mentions
+        if path.endswith("Kconfig"):
+            names = names | facts.defines
+        directory = path.split("/", 2)[1]
+        for name in names:
+            dirs.setdefault(name, set()).add(directory)
+        if "/configs/" in path:
+            for name in facts.assigns:
+                configs.setdefault(name, []).append(path)
+    return _ArchIndex(
+        dirs=MappingProxyType({name: tuple(sorted(found))
+                               for name, found in dirs.items()}),
+        configs=MappingProxyType({name: tuple(paths)
+                                  for name, paths in configs.items()}))
 
 
 @dataclass(frozen=True)
@@ -66,8 +136,7 @@ class ArchSelector:
         self._use_configs = use_configs
         self._tracer = tracer if tracer is not None else NULL_TRACER
         self._metrics = metrics if metrics is not None else NULL_METRICS
-        self._arch_mention_cache: dict[str, set[str]] = {}
-        self._configs_mention_cache: dict[str, list[str]] = {}
+        self._index: _ArchIndex | None = None
 
     # -- public ------------------------------------------------------------
 
@@ -142,38 +211,23 @@ class ArchSelector:
         if candidate not in selection.candidates:
             selection.candidates.append(candidate)
 
+    def _mention_index(self) -> _ArchIndex:
+        """The index of this check's arch/ files, each read once."""
+        if self._index is None:
+            files = []
+            for path in self._paths():
+                if not path.startswith("arch/") or path.count("/") < 2:
+                    continue
+                text = self._provider(path)
+                if text is not None:
+                    files.append((path, text))
+            self._index = _arch_index(tuple(files))
+        return self._index
+
     def _arch_dirs_mentioning(self, variable: str) -> list[str]:
         """arch/ subdirectories whose files mention CONFIG_<variable>."""
-        if variable not in self._arch_mention_cache:
-            mentions: set[str] = set()
-            config_re = re.compile(rf"\bCONFIG_{re.escape(variable)}\b")
-            define_re = re.compile(rf"^config {re.escape(variable)}$",
-                                   re.MULTILINE)
-            for path in self._paths():
-                if not path.startswith("arch/"):
-                    continue
-                parts = path.split("/")
-                if len(parts) < 3:
-                    continue
-                text = self._provider(path)
-                if text is None:
-                    continue
-                if config_re.search(text):
-                    mentions.add(parts[1])
-                elif path.endswith("Kconfig") and define_re.search(text):
-                    mentions.add(parts[1])
-            self._arch_mention_cache[variable] = mentions
-        return sorted(self._arch_mention_cache[variable])
+        return list(self._mention_index().dirs.get(variable, ()))
 
     def _config_files_mentioning(self, variable: str) -> list[str]:
-        if variable not in self._configs_mention_cache:
-            needle = f"CONFIG_{variable}="
-            found: list[str] = []
-            for path in self._paths():
-                if "/configs/" not in path or not path.startswith("arch/"):
-                    continue
-                text = self._provider(path)
-                if text and needle in text:
-                    found.append(path)
-            self._configs_mention_cache[variable] = found
-        return self._configs_mention_cache[variable]
+        """arch/**/configs/ files assigning CONFIG_<variable>=."""
+        return list(self._mention_index().configs.get(variable, ()))

@@ -182,6 +182,9 @@ def _strip_comment_state(line: str, in_block: bool
     is the index just past the last ``*/`` that closed an entry-state
     comment (0 if not applicable).
     """
+    if not in_block and "/" not in line:
+        # No comment can open, and quoted text is kept verbatim.
+        return line, False, 0
     out: list[str] = []
     i = 0
     n = len(line)

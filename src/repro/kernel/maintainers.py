@@ -19,14 +19,20 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import lru_cache
+
+
+@lru_cache(maxsize=4096)
+def _glob_regex(pattern: str) -> re.Pattern[str]:
+    """The compiled form of one F: glob, built once per pattern."""
+    return re.compile("".join("[^/]*" if ch == "*" else
+                              "[^/]" if ch == "?" else re.escape(ch)
+                              for ch in pattern))
 
 
 def _glob_match(pattern: str, path: str) -> bool:
     """Glob where ``*`` does not cross ``/`` (get_maintainer.pl style)."""
-    regex = "".join("[^/]*" if ch == "*" else
-                    "[^/]" if ch == "?" else re.escape(ch)
-                    for ch in pattern)
-    return re.fullmatch(regex, path) is not None
+    return _glob_regex(pattern).fullmatch(path) is not None
 
 
 @dataclass

@@ -1,5 +1,7 @@
 """Tests for architecture-selection heuristics over the generated tree."""
 
+from collections import Counter
+
 import pytest
 
 from repro.core.archselect import ArchSelector, Candidate
@@ -104,3 +106,52 @@ class TestDriverFiles:
         driver = tree.driver_files()[3]
         assert fresh().select(driver).candidates == \
             fresh().select(driver).candidates
+
+
+class TestMentionIndex:
+    def test_each_arch_file_read_once_per_check(self, tree):
+        provider = tree.provider()
+        reads: Counter[str] = Counter()
+
+        def counting_provider(path):
+            if path.startswith("arch/"):
+                reads[path] += 1
+            return provider(path)
+
+        build = BuildSystem(provider, path_lister=lambda: sorted(tree.files))
+        selector = ArchSelector(build, lambda: sorted(tree.files),
+                                counting_provider, rng=DeterministicRng(7))
+        variables: set[str] = set()
+        for path in tree.driver_files()[:6]:
+            makefile = build.governing_makefile(path)
+            variables.update(makefile.config_vars_for_object(
+                path.rsplit("/", 1)[-1]))
+            selector.select(path)
+        assert len(variables) >= 3
+        assert reads, "no arch/ file was consulted"
+        assert max(reads.values()) == 1, reads.most_common(3)
+
+    def test_overlay_mention_is_seen(self, tree, worktree):
+        build = BuildSystem(worktree.as_file_provider(),
+                            path_lister=worktree.paths)
+
+        def arches(source):
+            selector = ArchSelector(build, worktree.paths,
+                                    worktree.as_file_provider(),
+                                    rng=DeterministicRng(7))
+            return {c.arch for c in selector.select(source).candidates}
+
+        driver = tree.driver_files()[0]
+        variable = build.governing_makefile(driver).config_vars_for_object(
+            driver.rsplit("/", 1)[-1])[0]
+        before = arches(driver)
+        assert "arm" not in before
+
+        arch_file = next(path for path in worktree.paths()
+                         if path.startswith("arch/arm/")
+                         and path.endswith(".c"))
+        worktree.write(arch_file, worktree.read(arch_file)
+                       + f"\n/* CONFIG_{variable} */\n")
+        assert arches(driver) == before | {"arm"}
+        worktree.reset_hard()
+        assert arches(driver) == before
