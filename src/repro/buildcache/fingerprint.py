@@ -12,16 +12,27 @@ same bytes. For the substrate that means three ingredients:
   found *absent* (so creating a file that would shadow an include
   search path invalidates the entry too).
 
-Digest memoization is content-addressed: texts are interned in a
-module-level table, so re-hashing an unchanged file across thousands of
-commits costs one dict lookup (CPython caches ``str.__hash__``, and
-unchanged files are usually the very same string object).
+Digest memoization is content-addressed: a bounded module-level LRU
+maps each text to its digest, so re-hashing an unchanged file across
+thousands of commits costs one dict lookup (CPython caches
+``str.__hash__``, and unchanged files are usually the very same string
+object), while mutated overlay texts age out instead of piling up in a
+long-lived ``serve`` or ``watch`` process.
+
+The environment is built once per distinct content
+(:func:`compile_environment`): one record carries both the fingerprint
+and the predefined-macro seed every preprocessing run of that
+environment starts from.
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import Callable, Iterable
+from collections import OrderedDict
+from functools import lru_cache
+from typing import Callable, Iterable, NamedTuple
+
+from repro.cpp.macro import MacroSeed
 
 FileProvider = Callable[[str], "str | None"]
 
@@ -31,21 +42,19 @@ Manifest = tuple[tuple[str, str], ...]
 
 ABSENT = "<absent>"
 
-_digest_memo: dict[str, str] = {}
+#: bound on distinct texts whose digest is memoized
+_DIGEST_MEMO_SIZE = 4096
 
 
+@lru_cache(maxsize=_DIGEST_MEMO_SIZE)
 def blob_digest(text: str) -> str:
-    """Digest of one file's text (memoized by content)."""
-    digest = _digest_memo.get(text)
-    if digest is None:
-        digest = hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
-        _digest_memo[text] = digest
-    return digest
+    """Digest of one file's text (memoized by content, bounded LRU)."""
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
 
 
 def clear_digest_memo() -> None:
-    """Drop the interned text table (tests / long-lived processes)."""
-    _digest_memo.clear()
+    """Drop the memoized digests."""
+    blob_digest.cache_clear()
 
 
 def digest_of_items(items: Iterable[tuple[str, str]]) -> str:
@@ -59,8 +68,58 @@ def digest_of_items(items: Iterable[tuple[str, str]]) -> str:
     return hasher.hexdigest()[:16]
 
 
-#: (arch name, config content digest, modular) -> environment digest
-_env_memo: dict[tuple[str, str, bool], str] = {}
+class CompileEnvironment(NamedTuple):
+    """Everything that seeds one preprocessing run, built once.
+
+    ``seed`` holds the architecture predefines, then the configuration's
+    autoconf macros, then ``MODULE`` for a modular unit, as shared
+    :class:`~repro.cpp.macro.Macro` objects. ``digest`` is the
+    environment fingerprint build-cache entries are keyed by.
+    """
+
+    seed: MacroSeed
+    digest: str
+
+
+#: bound on distinct environments held
+_ENVIRONMENT_MEMO_SIZE = 256
+
+#: content key -> CompileEnvironment, LRU by access
+_environments: "OrderedDict[tuple, CompileEnvironment]" = OrderedDict()
+
+
+def compile_environment(architecture, config, *,
+                        modular: bool) -> CompileEnvironment:
+    """The shared environment record for this content.
+
+    Keyed by content, never by object identity: the toolchain registry
+    rebuilds its architectures for each check and configurations come
+    back from the build cache as fresh objects.
+    """
+    key = (architecture.name, architecture.bits,
+           tuple(architecture.builtin_macros.items()),
+           architecture.include_roots, config.content_digest(), modular)
+    environment = _environments.get(key)
+    if environment is not None:
+        _environments.move_to_end(key)
+        return environment
+    predefines = architecture.predefines()
+    autoconf = config.autoconf_macros()
+    items: list[tuple[str, str]] = [("arch", architecture.name)]
+    items.extend(("root", root) for root in architecture.include_roots)
+    items.extend(sorted(predefines.items()))
+    items.extend(sorted(autoconf.items()))
+    seeded = dict(predefines)
+    seeded.update(autoconf)
+    if modular:
+        items.append(("MODULE", "1"))
+        seeded["MODULE"] = "1"
+    environment = CompileEnvironment(MacroSeed(seeded),
+                                     digest_of_items(items))
+    _environments[key] = environment
+    while len(_environments) > _ENVIRONMENT_MEMO_SIZE:
+        _environments.popitem(last=False)
+    return environment
 
 
 def env_fingerprint(architecture, config, *, modular: bool) -> str:
@@ -73,19 +132,8 @@ def env_fingerprint(architecture, config, *, modular: bool) -> str:
     even under different names — a defconfig that happens to enable the
     same symbols as allyesconfig shares its cache entries.
     """
-    key = (architecture.name, config.content_digest(), modular)
-    cached = _env_memo.get(key)
-    if cached is not None:
-        return cached
-    items: list[tuple[str, str]] = [("arch", architecture.name)]
-    items.extend(("root", root) for root in architecture.include_roots)
-    items.extend(sorted(architecture.predefines().items()))
-    items.extend(sorted(config.autoconf_macros().items()))
-    if modular:
-        items.append(("MODULE", "1"))
-    digest = digest_of_items(items)
-    _env_memo[key] = digest
-    return digest
+    return compile_environment(architecture, config,
+                               modular=modular).digest
 
 
 def manifest_for(paths: Iterable[str], provider: FileProvider,

@@ -22,6 +22,8 @@ from dataclasses import dataclass, field
 from repro.cc.lexer import LexResult, lex_translation_unit
 from repro.cc.parser import validate_unit
 from repro.cc.toolchain import Architecture
+from repro.cpp.lexer import TokenKind
+from repro.cpp.macro import MacroSeed
 from repro.cpp.preprocessor import FileProvider, PreprocessResult, Preprocessor
 from repro.errors import CompileError, PreprocessorError
 
@@ -72,15 +74,31 @@ class Compiler:
         self.architecture = architecture
         self._provider = provider
         self._config_macros = dict(config_macros or {})
+        self._seed: MacroSeed | None = None
+
+    @classmethod
+    def for_environment(cls, architecture: Architecture,
+                        provider: FileProvider,
+                        seed: MacroSeed) -> "Compiler":
+        """A compiler whose predefined macros are an already-built seed
+        (the architecture predefines merged with the config macros)."""
+        compiler = cls(architecture, provider)
+        compiler._seed = seed
+        return compiler
+
+    def _macro_seed(self) -> MacroSeed:
+        if self._seed is None:
+            predefined = self.architecture.predefines()
+            predefined.update(self._config_macros)
+            self._seed = MacroSeed(predefined)
+        return self._seed
 
     def preprocess(self, path: str) -> PreprocessResult:
         """``make file.i``: may fail on missing headers or bad directives."""
-        predefined = self.architecture.predefines()
-        predefined.update(self._config_macros)
         preprocessor = Preprocessor(
             self._provider,
             include_paths=list(self.architecture.include_roots),
-            predefined=predefined,
+            predefined=self._macro_seed(),
         )
         return preprocessor.preprocess(path)
 
@@ -124,15 +142,14 @@ class Compiler:
                            for issue in outcome.issues]
             raise CompileError(f"{path}: syntax errors", diagnostics)
 
-        from repro.cpp.lexer import TokenKind
-        strings = [lexed_token.token.text[1:-1]
-                   for lexed_token in lexed.tokens
-                   if lexed_token.token.kind is TokenKind.STRING]
+        string = TokenKind.STRING
+        strings = [token.text[1:-1] for token in lexed.flat
+                   if token.kind is string]
         return ObjectFile(
             source=path,
             architecture=self.architecture.name,
             symbols=outcome.symbols,
-            token_count=len(lexed.tokens),
+            token_count=len(lexed.flat),
             strings=strings,
             references=outcome.external_calls,
         )

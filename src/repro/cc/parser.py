@@ -17,11 +17,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.cc.lexer import LexedToken, LexResult
-from repro.cpp.lexer import TokenKind
+from repro.cc.lexer import LexResult
+from repro.cpp.lexer import Token, TokenKind
 
 _OPENERS = {"(": ")", "[": "]", "{": "}"}
 _CLOSERS = {")": "(", "]": "[", "}": "{"}
+_BRACKETS = frozenset(_OPENERS) | frozenset(_CLOSERS)
+
+# Token kinds bound once: an Enum member lookup costs more than the
+# per-token work of the loops below.
+_IDENT = TokenKind.IDENT
+_OTHER = TokenKind.OTHER
 
 #: Keywords that can never be function names.
 _KEYWORDS = {
@@ -56,31 +62,39 @@ class ParseOutcome:
 
 
 def validate_unit(lexed: LexResult) -> ParseOutcome:
-    """Balance-check the token stream and extract defined symbols."""
+    """Balance-check the token stream and extract defined symbols.
+
+    Walks ``lexed.flat`` directly; a token's ``(file, line)`` is resolved
+    only for an issue that is reported.
+    """
     outcome = ParseOutcome()
-    stack: list[LexedToken] = []
-    meaningful = [t for t in lexed.tokens
-                  if t.token.kind is not TokenKind.OTHER]
+    flat = lexed.flat
+    meaningful = [token for token in flat if token.kind is not _OTHER]
     if not meaningful:
         outcome.issues.append(SyntaxIssue(
             "empty translation unit", file="<unit>", line=0))
         return outcome
 
-    for lexed_token in meaningful:
-        text = lexed_token.token.text
+    # Brackets are always PUNCT tokens, so walking every token sees the
+    # same bracket sequence as walking the meaningful ones.
+    stack: list[int] = []  # flat indices of the open brackets
+    for index, token in enumerate(flat):
+        text = token.text
+        if text not in _BRACKETS:
+            continue
         if text in _OPENERS:
-            stack.append(lexed_token)
-        elif text in _CLOSERS:
-            if not stack or stack[-1].token.text != _CLOSERS[text]:
-                outcome.issues.append(SyntaxIssue(
-                    f"unbalanced {text!r}",
-                    file=lexed_token.file, line=lexed_token.line))
-                return outcome
-            stack.pop()
+            stack.append(index)
+            continue
+        if not stack or flat[stack[-1]].text != _CLOSERS[text]:
+            file, line = lexed.position(index)
+            outcome.issues.append(SyntaxIssue(
+                f"unbalanced {text!r}", file=file, line=line))
+            return outcome
+        stack.pop()
     for unclosed in stack:
+        file, line = lexed.position(unclosed)
         outcome.issues.append(SyntaxIssue(
-            f"unclosed {unclosed.token.text!r}",
-            file=unclosed.file, line=unclosed.line))
+            f"unclosed {flat[unclosed].text!r}", file=file, line=line))
     if outcome.issues:
         return outcome
 
@@ -90,54 +104,56 @@ def validate_unit(lexed: LexResult) -> ParseOutcome:
     return outcome
 
 
-def _extract_external_calls(tokens: list[LexedToken],
+def _extract_external_calls(tokens: list[Token],
                             defined: set[str]) -> list[str]:
     """Call sites ``ident(...)`` inside function bodies whose target is
     not defined in this unit — the linker's undefined references."""
     calls: list[str] = []
+    seen: set[str] = set()
     depth = 0
-    for index, lexed in enumerate(tokens):
-        text = lexed.token.text
+    for index, token in enumerate(tokens):
+        text = token.text
         if text == "{":
             depth += 1
         elif text == "}":
             depth -= 1
-        elif (depth > 0 and lexed.token.kind is TokenKind.IDENT
+        elif (depth > 0 and token.kind is _IDENT
                 and text not in _KEYWORDS and text not in defined
                 and index + 1 < len(tokens)
-                and tokens[index + 1].token.text == "("
-                and text not in calls):
+                and tokens[index + 1].text == "("
+                and text not in seen):
+            seen.add(text)
             calls.append(text)
     return calls
 
 
-def _extract_symbols(tokens: list[LexedToken]) -> list[str]:
+def _extract_symbols(tokens: list[Token]) -> list[str]:
     """Function definitions: ``ident ( ... ) {`` at brace depth 0."""
     symbols: list[str] = []
     depth = 0
     i = 0
     while i < len(tokens):
-        text = tokens[i].token.text
+        text = tokens[i].text
         if text == "{":
             depth += 1
         elif text == "}":
             depth -= 1
-        elif (depth == 0 and tokens[i].token.kind is TokenKind.IDENT
+        elif (depth == 0 and tokens[i].kind is _IDENT
                 and text not in _KEYWORDS
-                and i + 1 < len(tokens) and tokens[i + 1].token.text == "("):
+                and i + 1 < len(tokens) and tokens[i + 1].text == "("):
             close = _matching_paren(tokens, i + 1)
             if close is not None and close + 1 < len(tokens) \
-                    and tokens[close + 1].token.text == "{":
+                    and tokens[close + 1].text == "{":
                 symbols.append(text)
                 i = close
         i += 1
     return symbols
 
 
-def _matching_paren(tokens: list[LexedToken], open_index: int) -> int | None:
+def _matching_paren(tokens: list[Token], open_index: int) -> int | None:
     depth = 0
     for index in range(open_index, len(tokens)):
-        text = tokens[index].token.text
+        text = tokens[index].text
         if text == "(":
             depth += 1
         elif text == ")":

@@ -23,12 +23,24 @@ change output. The table also supports *read recording*
 (:meth:`MacroTable.begin_recording`): every name whose presence or
 definition influenced processing is captured, which is what makes the
 header-level replay cache in :mod:`repro.cpp.prepared` sound.
+
+A line that does name a live macro goes through the *line expansion
+memo*: each distinct line text keeps a few ``(reads, expansion)``
+variants, where ``reads`` is every ``(name, definition)`` lookup the
+expansion made, in order. A variant is reused only while each recorded
+name still resolves to the identical :class:`Macro` object, and its
+reads are replayed into an active recorder, so the replay cache sees
+the same read sets as an uncached expansion. Identity holds across
+translation units because the predefined macros come from a shared
+:class:`MacroSeed` and every ``#define`` line is parsed once
+(:func:`shared_define`).
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from collections import OrderedDict
+from dataclasses import dataclass
 from functools import lru_cache
 
 from repro.cpp.lexer import (
@@ -47,6 +59,15 @@ _IDENT_SCAN_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 #: flipped by repro.cpp.prepared.configure for differential testing
 _SCREEN_ENABLED = True
 
+#: bound on distinct lines whose identifier scan is memoized
+_IDENT_SCAN_CACHE_SIZE = 16384
+#: bound on distinct ``#define`` lines whose Macro is shared
+_DEFINE_CACHE_SIZE = 16384
+#: bounds on the line expansion memo: distinct line texts, and
+#: variants (one per read valuation) kept per text
+_EXPANSION_CACHE_SIZE = 4096
+_EXPANSION_MAX_VARIANTS = 16
+
 
 def set_expand_screen_enabled(enabled: bool) -> None:
     """Enable/disable the expand_text identifier screen."""
@@ -58,9 +79,10 @@ def set_expand_screen_enabled(enabled: bool) -> None:
 def _predefined_macro(name: str, body: str) -> "Macro":
     """Shared object-like Macro for a predefined (name, body) pair.
 
-    Every :class:`MacroTable` built from the same arch/config predefines
-    reuses the same frozen Macro objects instead of re-allocating
-    hundreds of them per translation unit.
+    The seeds of different environments share the Macro of every pair
+    they have in common, so a line expansion recorded under one
+    configuration is reused under another that defines its names the
+    same way.
     """
     return Macro(name=name, body=body)
 
@@ -87,6 +109,25 @@ class _ReadRecorder:
         """Record one read (first observation wins; writes shadow)."""
         if name not in self.written and name not in self.reads:
             self.reads[name] = macro
+
+
+class _ReadLog:
+    """Every macro lookup of one line expansion, first observation per
+    name in order; each lookup is also forwarded to the enclosing
+    recorder, exactly as an unlogged expansion would note it."""
+
+    __slots__ = ("reads", "outer")
+
+    def __init__(self, outer: "_ReadRecorder | None") -> None:
+        self.reads: dict[str, "Macro | None"] = {}
+        self.outer = outer
+
+    def note(self, name: str, macro: "Macro | None") -> None:
+        """Log one lookup and pass it on."""
+        if name not in self.reads:
+            self.reads[name] = macro
+        if self.outer is not None:
+            self.outer.note(name, macro)
 
 
 @dataclass(frozen=True)
@@ -168,15 +209,48 @@ class Macro:
                          file=file, line=line)
 
 
+@lru_cache(maxsize=_DEFINE_CACHE_SIZE)
+def shared_define(text: str, file: str, line: int) -> Macro:
+    """:meth:`Macro.parse_define`, memoized by ``(text, file, line)``.
+
+    The same ``#define`` line yields the same Macro object in every
+    translation unit, which is what lets the line expansion memo match
+    definitions by identity. A parse error is raised again on every
+    call (errors are never memoized).
+    """
+    return Macro.parse_define(text, file=file, line=line)
+
+
+class MacroSeed:
+    """An immutable predefined-macro set, built once per environment.
+
+    Holds the shared :class:`Macro` object of each predefined
+    ``(name, body)`` pair. Every :class:`MacroTable` built from a seed
+    starts from its own copy, because ``#define`` and ``#undef`` mutate
+    the table.
+    """
+
+    __slots__ = ("_macros",)
+
+    def __init__(self, predefined: dict[str, str]) -> None:
+        self._macros = {name: _predefined_macro(name, body)
+                        for name, body in predefined.items()}
+
+    def table(self) -> dict[str, Macro]:
+        """A fresh name -> Macro dict the caller may mutate."""
+        return self._macros.copy()
+
+
 class MacroTable:
     """The set of live macro definitions during preprocessing."""
 
-    def __init__(self, predefined: dict[str, str] | None = None) -> None:
-        self._macros: dict[str, Macro] = {}
-        self._recorder: _ReadRecorder | None = None
-        if predefined:
-            self._macros = {name: _predefined_macro(name, body)
-                            for name, body in predefined.items()}
+    def __init__(self,
+                 predefined: "dict[str, str] | MacroSeed | None" = None
+                 ) -> None:
+        if not isinstance(predefined, MacroSeed):
+            predefined = MacroSeed(predefined or {})
+        self._macros: dict[str, Macro] = predefined.table()
+        self._recorder: _ReadRecorder | _ReadLog | None = None
 
     def __getstate__(self):
         # Recorders are transient per-file state; never pickle them
@@ -248,12 +322,45 @@ class MacroTable:
 
     def expand_text(self, text: str) -> str:
         """Fully macro-expand one logical line of non-directive text."""
-        if _SCREEN_ENABLED and not self._mentions_macro(text):
+        if not _SCREEN_ENABLED:
+            return untokenize(self._expand_tokens(tokenize_shared(text),
+                                                  frozenset()))
+        if not self._mentions_macro(text):
             # No identifier in the line names a live macro: expansion is
             # the identity (tokenize/untokenize round-trips exactly).
             return text
-        return untokenize(self._expand_tokens(tokenize_shared(text),
-                                              frozenset()))
+        variants = _EXPANSIONS.get(text)
+        if variants is not None:
+            expansion = self._reuse(variants)
+            if expansion is not None:
+                _EXPANSIONS.move_to_end(text)
+                return expansion
+        log = _ReadLog(self._recorder)
+        self._recorder = log
+        try:
+            expansion = untokenize(self._expand_tokens(
+                tokenize_shared(text), frozenset()))
+        finally:
+            self._recorder = log.outer
+        _remember_expansion(text, tuple(log.reads.items()), expansion)
+        return expansion
+
+    def _reuse(self, variants) -> str | None:
+        """The expansion of the first variant whose reads all resolve to
+        the identical definitions now, replaying its reads into the
+        active recorder; None when no variant holds."""
+        macros = self._macros
+        for reads, expansion in variants:
+            for name, macro in reads:
+                if macros.get(name) is not macro:
+                    break
+            else:
+                recorder = self._recorder
+                if recorder is not None:
+                    for name, macro in reads:
+                        recorder.note(name, macro)
+                return expansion
+        return None
 
     def _mentions_macro(self, text: str) -> bool:
         """True when any identifier-shaped run names a live macro.
@@ -263,15 +370,12 @@ class MacroTable:
         literals), so a False is always safe while a True merely takes
         the full expansion path.
         """
+        names = _line_identifiers(text)
         macros = self._macros
         recorder = self._recorder
         if recorder is None:
-            for match in _IDENT_SCAN_RE.finditer(text):
-                if match.group() in macros:
-                    return True
-            return False
-        for match in _IDENT_SCAN_RE.finditer(text):
-            name = match.group()
+            return not macros.keys().isdisjoint(names)
+        for name in names:
             macro = macros.get(name)
             recorder.note(name, macro)
             if macro is not None:
@@ -430,6 +534,35 @@ class MacroTable:
             out.append(token)
             i += 1
         return out
+
+
+@lru_cache(maxsize=_IDENT_SCAN_CACHE_SIZE)
+def _line_identifiers(text: str) -> tuple[str, ...]:
+    """The distinct identifier-shaped runs of a line, first-seen order."""
+    return tuple(dict.fromkeys(_IDENT_SCAN_RE.findall(text)))
+
+
+#: line text -> [(reads, expansion), ...] most recent first; LRU by text
+_EXPANSIONS: "OrderedDict[str, list[tuple[tuple, str]]]" = OrderedDict()
+
+
+def _remember_expansion(text: str, reads: tuple, expansion: str) -> None:
+    variants = _EXPANSIONS.get(text)
+    if variants is None:
+        variants = _EXPANSIONS[text] = []
+    variants.insert(0, (reads, expansion))
+    del variants[_EXPANSION_MAX_VARIANTS:]
+    _EXPANSIONS.move_to_end(text)
+    while len(_EXPANSIONS) > _EXPANSION_CACHE_SIZE:
+        _EXPANSIONS.popitem(last=False)
+
+
+def clear_expansion_caches() -> None:
+    """Drop the line expansion memo, the identifier-scan memo and the
+    shared ``#define`` objects."""
+    _EXPANSIONS.clear()
+    _line_identifiers.cache_clear()
+    shared_define.cache_clear()
 
 
 def _trim_ws(tokens):

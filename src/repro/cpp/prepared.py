@@ -31,8 +31,9 @@ Three observations drive the substrate fast path (DESIGN.md §8):
    bounded LRU keeps long service runs from growing without limit.
 
 The module also owns the global fast-path switch. All reuse levels —
-the lexer's token caches, the macro screen, the evaluator fast paths,
-and the two caches here — can be force-disabled via :func:`configure`
+the lexer's token caches, the macro screen and line expansion memo, the
+evaluator fast paths, and the two caches here — can be force-disabled
+via :func:`configure`
 (or, scoped, :func:`fastpath_disabled`), which is what the byte-identity
 differential suite uses to compare both pipelines.
 """
@@ -362,8 +363,8 @@ def configure(enable: bool) -> None:
     """Switch every fast-path level on or off, clearing all caches.
 
     Off means the byte-identity *reference* pipeline: per-visit
-    stripping/splicing, per-call tokenization, no expansion screen, no
-    condition fast paths, no prepared/replay caches — exactly the
+    stripping/splicing, per-call tokenization, no expansion screen or
+    memo, no condition fast paths, no prepared/replay caches — exactly the
     pre-fast-path behaviour the differential suite compares against.
     """
     global _ENABLED
@@ -380,6 +381,7 @@ def clear_caches() -> None:
     _PREPARED.clear()
     _HEADER_CACHE.clear()
     _lexer.clear_token_caches()
+    _macro.clear_expansion_caches()
     _evaluator._split_defined.cache_clear()
 
 

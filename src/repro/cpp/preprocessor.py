@@ -36,7 +36,7 @@ from typing import Callable
 from repro.cpp import prepared as _prepared
 from repro.cpp.evaluator import evaluate_condition
 from repro.cpp.lexer import CommentStripper, TokenKind, tokenize_shared
-from repro.cpp.macro import Macro, MacroTable
+from repro.cpp.macro import Macro, MacroSeed, MacroTable, shared_define
 from repro.errors import IncludeNotFoundError, PreprocessorError
 from repro.util.text import split_lines_keepends
 
@@ -94,11 +94,12 @@ class Preprocessor:
 
     def __init__(self, provider: FileProvider,
                  include_paths: list[str] | None = None,
-                 predefined: dict[str, str] | None = None,
+                 predefined: "dict[str, str] | MacroSeed | None" = None,
                  fastpath: bool | None = None) -> None:
         self._provider = provider
         self._include_paths = list(include_paths or [])
-        self._predefined = dict(predefined or {})
+        self._predefined = predefined if isinstance(predefined, MacroSeed) \
+            else MacroSeed(predefined or {})
         #: None = follow the global switch; True/False pins this instance
         self._fastpath = fastpath
         self._fast_active = False
@@ -330,7 +331,11 @@ class Preprocessor:
             return True
 
         if keyword == "define":
-            macros.define(Macro.parse_define(rest, file=path, line=line))
+            if self._fast_active:
+                macro = shared_define(rest, path, line)
+            else:
+                macro = Macro.parse_define(rest, file=path, line=line)
+            macros.define(macro)
             return True
         if keyword == "undef":
             symbol = rest.split()[0] if rest.split() else ""

@@ -39,6 +39,7 @@ from repro.buildcache.cache import BuildCache
 from repro.buildcache.fingerprint import (
     RecordingProvider,
     blob_digest,
+    compile_environment,
     env_fingerprint,
 )
 from repro.cc.compiler import Compiler, ObjectFile
@@ -531,10 +532,10 @@ class BuildSystem:
     def _compiler(self, arch_name: str, config: Config,
                   *, modular_unit: bool) -> Compiler:
         architecture = self.registry.get(arch_name)
-        macros = config.autoconf_macros()
-        if modular_unit:
-            macros["MODULE"] = "1"
-        return Compiler(architecture, self._provider, config_macros=macros)
+        environment = compile_environment(architecture, config,
+                                          modular=modular_unit)
+        return Compiler.for_environment(architecture, self._provider,
+                                        environment.seed)
 
     def _env_digest(self, arch_name: str, config: Config,
                     *, modular: bool) -> str:

@@ -1,5 +1,7 @@
 """Tests for digests, environment fingerprints, and closure manifests."""
 
+import hashlib
+
 from repro.buildcache.fingerprint import (
     ABSENT,
     RecordingProvider,
@@ -69,6 +71,22 @@ class TestEnvFingerprint:
         b.name = "some_defconfig"
         assert env_fingerprint(x86, a, modular=False) == \
             env_fingerprint(x86, b, modular=False)
+
+
+class TestDigestMemo:
+    def test_memo_stays_at_its_bound_and_digests_hold(self):
+        from repro.buildcache import fingerprint
+        texts = [f"int v{index};\n" for index in
+                 range(fingerprint._DIGEST_MEMO_SIZE + 500)]
+        expected = [hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
+                    for text in texts]
+        fingerprint.clear_digest_memo()
+        assert [blob_digest(text) for text in texts] == expected
+        info = blob_digest.cache_info()
+        assert info.currsize == fingerprint._DIGEST_MEMO_SIZE
+        assert [blob_digest(text) for text in texts] == expected
+        assert blob_digest.cache_info().currsize == \
+            fingerprint._DIGEST_MEMO_SIZE
 
 
 class TestManifest:
