@@ -4,8 +4,5 @@
   presence conditions (the structure SuperC/TypeChef-style parsers
   expose);
 - :mod:`repro.analysis.deadblocks` — Undertaker-style dead/undead block
-  detection against the Kconfig model;
-- :mod:`repro.analysis.covergen` — Vampyr/Troll-style generation of a
-  small configuration set that covers a file's conditional branches,
-  usable as JMake's §VII configuration-generation extension.
+  detection against the Kconfig model.
 """

@@ -52,10 +52,6 @@ class ConditionalBlock:
     atoms: list[str] = field(default_factory=list)
     body_lines: list[int] = field(default_factory=list)
 
-    def covers(self, lineno: int) -> bool:
-        """True when the branch body contains the given 1-based line."""
-        return lineno in self.body_lines
-
 
 _IFDEF_RE = re.compile(r"^#\s*(ifdef|ifndef)\s+(\w+)\s*$")
 _IF_RE = re.compile(r"^#\s*(if|elif)\s+(.+?)\s*$")

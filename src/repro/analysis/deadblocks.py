@@ -59,7 +59,7 @@ class AnalyzedBlock:
     reason: str
 
 
-def _literals(expr: Expr) -> "tuple[set[str], set[str]] | None":
+def literals(expr: Expr) -> "tuple[set[str], set[str]] | None":
     """Split a conjunction into (positive, negative) symbol sets.
 
     Returns None for disjunctions or other shapes (handled
@@ -134,11 +134,11 @@ class DeadBlockAnalyzer:
                 return AnalyzedBlock(block, BlockVerdict.DEAD, "#if 0")
             return AnalyzedBlock(block, BlockVerdict.UNDEAD, "#if 1")
 
-        literals = _literals(presence)
-        if literals is None:
+        split = literals(presence)
+        if split is None:
             return AnalyzedBlock(block, BlockVerdict.CONFIGURABLE,
                                  "disjunctive condition (not analyzed)")
-        positive, negative = literals
+        positive, negative = split
 
         if positive & negative:
             clash = sorted(positive & negative)[0]

@@ -68,20 +68,6 @@ class KindStats:
         """hits / probes, 0.0 when never probed."""
         return self.hits / self.probes if self.probes else 0.0
 
-    def merge(self, other: "KindStats") -> None:
-        """Add another counter set into this one."""
-        for name in FIELDS:
-            self._set(name, self._get(name) + getattr(other, name))
-
-    def delta(self, since: "KindStats") -> "KindStats":
-        """Counter-wise ``self - since`` (standalone result)."""
-        return KindStats(*[getattr(self, name) - getattr(since, name)
-                           for name in FIELDS])
-
-    def copy(self) -> "KindStats":
-        """An independent standalone copy."""
-        return KindStats(*[getattr(self, name) for name in FIELDS])
-
     def __repr__(self) -> str:
         inner = ", ".join(f"{name}={getattr(self, name)!r}"
                           for name in FIELDS)
@@ -106,17 +92,10 @@ del _name
 class CacheStats:
     """All counters, by artifact kind, living in one metrics registry."""
 
-    def __init__(self, kinds: "dict[str, KindStats] | None" = None,
-                 registry: MetricsRegistry | None = None) -> None:
+    def __init__(self, registry: MetricsRegistry | None = None) -> None:
         self.registry = registry if registry is not None \
             else MetricsRegistry()
-        self._kind_names: set[str] = set()
-        if kinds is None:
-            for name in KINDS:
-                self.kind(name)
-        else:
-            for name, stats in kinds.items():
-                self.kind(name).merge(stats)
+        self._kind_names: set[str] = set(KINDS)
 
     def kind(self, name: str) -> KindStats:
         """The counter set for one kind (registered on demand)."""
@@ -169,15 +148,13 @@ class CacheStats:
 
     def delta(self, since: "CacheStats") -> "CacheStats":
         """Counter-wise ``self - since`` across all instruments."""
-        result = CacheStats(kinds={})
-        result.registry = self.registry.delta(since.registry)
+        result = CacheStats(self.registry.delta(since.registry))
         result._kind_names = self._kind_names | since._kind_names
         return result
 
     def copy(self) -> "CacheStats":
         """A deep, independent copy."""
-        result = CacheStats(kinds={})
-        result.registry = self.registry.snapshot()
+        result = CacheStats(self.registry.snapshot())
         result._kind_names = set(self._kind_names)
         return result
 

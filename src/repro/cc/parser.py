@@ -107,7 +107,7 @@ def validate_unit(lexed: LexResult) -> ParseOutcome:
 def _extract_external_calls(tokens: list[Token],
                             defined: set[str]) -> list[str]:
     """Call sites ``ident(...)`` inside function bodies whose target is
-    not defined in this unit — the linker's undefined references."""
+    not defined in this unit — a linker's undefined references."""
     calls: list[str] = []
     seen: set[str] = set()
     depth = 0

@@ -136,10 +136,6 @@ class ToolchainRegistry:
         return sorted(name for name, arch in self._architectures.items()
                       if arch.works)
 
-    def knows(self, name: str) -> bool:
-        """True when the name is in the make.cross matrix at all."""
-        return name in self._architectures
-
     def get(self, name: str) -> Architecture:
         """A *working* toolchain, or ToolchainError.
 

@@ -17,8 +17,8 @@ For each candidate (architecture, configuration), in order:
 
 The pipeline is expressed as a generator of :class:`~repro.core.units.
 WorkUnit` steps (config → preprocess-batch → token-grep → certify), so
-the same control flow serves both the sequential
-:meth:`CFileProcessor.process` wrapper and the sharded check service.
+the same control flow serves both sequential checks
+(:func:`~repro.core.units.run_units`) and the sharded check service.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ from repro.core.units import (
     UnitDag,
     UnitFailure,
     UnitGenerator,
-    run_units,
 )
 from repro.errors import KconfigError, ToolchainError
 from repro.kbuild.build import BuildError, BuildSystem
@@ -123,21 +122,14 @@ class CFileProcessor:
         self._tracer = tracer if tracer is not None else NULL_TRACER
         self._metrics = metrics if metrics is not None else NULL_METRICS
 
-    def process(self, worktree: Worktree,
-                c_plans: list[MutationPlan],
-                h_plans: list[MutationPlan],
-                overlay: MutationOverlay | None = None) -> CFileOutcome:
-        """Run all candidates for all files; returns per-file reports."""
-        return run_units(self.iter_process(worktree, c_plans, h_plans,
-                                           overlay=overlay))
-
     def iter_process(self, worktree: Worktree,
                      c_plans: list[MutationPlan],
                      h_plans: list[MutationPlan],
                      overlay: MutationOverlay | None = None,
                      dag: UnitDag | None = None,
                      deps: tuple[int, ...] = ()) -> UnitGenerator:
-        """The unit-yielding form of :meth:`process`."""
+        """Run all candidates for all files; yields work units and
+        returns the per-file reports."""
         if dag is None:
             dag = UnitDag()
         header_tokens: set[str] = set()
@@ -195,7 +187,7 @@ class CFileProcessor:
         holding the still-uncovered changed lines (Vampyr/Troll style,
         the paper's suggested §VII complement)."""
         from repro.analysis.blocks import extract_blocks
-        from repro.analysis.deadblocks import _literals
+        from repro.analysis.deadblocks import literals
         from repro.kconfig.solver import targeted_config
 
         host = self._build.registry.host.name
@@ -214,11 +206,11 @@ class CFileProcessor:
                 break
             if not missing_lines & set(block.body_lines):
                 continue
-            literals = _literals(block.presence) \
+            split = literals(block.presence) \
                 if block.presence is not None else None
-            if literals is None:
+            if split is None:
                 continue
-            positive, negative = literals
+            positive, negative = split
             config = targeted_config(
                 model, positive | gates, negative,
                 name=f"targeted:{state.plan.path}:{block.start}")

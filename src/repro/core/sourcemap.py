@@ -38,10 +38,6 @@ class MacroRegion:
     start: int   # 1-based first physical line (the #define line)
     end: int     # 1-based last physical line (inclusive)
 
-    def covers(self, lineno: int) -> bool:
-        """True when the region spans the given 1-based line."""
-        return self.start <= lineno <= self.end
-
 
 @dataclass
 class LineInfo:

@@ -87,42 +87,6 @@ class WorkUnit:
         """Files this unit contributes to a batched invocation."""
         return len(self.paths)
 
-    def describe(self) -> dict:
-        """JSON-ready descriptor (everything but the thunk).
-
-        The ``run`` closure holds session state (BuildSystem, overlay,
-        clock) and cannot cross a process boundary; the descriptor is
-        what the wire codec ships for DAG telemetry and scheduling
-        decisions on the far side.
-        """
-        return {
-            "stage": self.stage,
-            "arch": self.arch,
-            "config_target": self.config_target,
-            "paths": list(self.paths),
-            "deps": list(self.deps),
-            "unit_id": self.unit_id,
-        }
-
-    @classmethod
-    def from_description(cls, payload: dict) -> "WorkUnit":
-        """Rebuild a descriptor unit with an inert thunk.
-
-        The result carries full routing/DAG metadata but raises if
-        executed — remote transports re-derive runnable thunks from
-        their own warm session, never from the wire.
-        """
-        def _inert() -> Any:
-            raise RuntimeError(
-                "descriptor unit has no runnable thunk; thunks never "
-                "cross process boundaries")
-        return cls(stage=payload["stage"], run=_inert,
-                   arch=payload["arch"],
-                   config_target=payload["config_target"],
-                   paths=tuple(payload["paths"]),
-                   deps=tuple(payload["deps"]),
-                   unit_id=payload["unit_id"])
-
 
 class UnitDag:
     """The recorded decomposition of one request.

@@ -191,10 +191,6 @@ class _Counters:
         return {name: getattr(self, f"_{name}").value
                 for name in _COUNTER_FIELDS}
 
-    def reset(self) -> None:
-        for name in _COUNTER_FIELDS:
-            getattr(self, f"_{name}").value = 0
-
 
 def _counter_property(name: str):
     def get(self):
@@ -330,11 +326,6 @@ def header_cache() -> HeaderReplayCache:
     return _HEADER_CACHE
 
 
-def metrics_registry() -> MetricsRegistry:
-    """The substrate's process-wide ``substrate.*`` registry."""
-    return _SUBSTRATE_METRICS
-
-
 def collect_metrics() -> MetricsRegistry:
     """Snapshot-time collector for the telemetry snapshotter.
 
@@ -383,12 +374,6 @@ def clear_caches() -> None:
     _lexer.clear_token_caches()
     _macro.clear_expansion_caches()
     _evaluator._split_defined.cache_clear()
-
-
-def reset_stats() -> None:
-    """Zero the substrate counters (benchmark harness hook)."""
-    _PREPARED_STATS.reset()
-    _HEADER_CACHE.stats.reset()
 
 
 @contextmanager

@@ -60,24 +60,6 @@ class PreprocessResult:
     #: shadow an include search path invalidates dependent entries.
     missing_includes: list[str] = field(default_factory=list)
 
-    def closure_paths(self) -> list[str]:
-        """Main file plus transitive includes, deduplicated in order."""
-        seen: set[str] = set()
-        ordered: list[str] = []
-        for path in [self.main_file, *self.included_files]:
-            if path not in seen:
-                seen.add(path)
-                ordered.append(path)
-        return ordered
-
-    def contains(self, needle: str) -> bool:
-        """True when the needle occurs in the .i text."""
-        return needle in self.text
-
-    def defined_macro_names(self) -> list[str]:
-        """Names defined at end of preprocessing."""
-        return self.macros.names()
-
 
 @dataclass
 class _CondState:

@@ -15,11 +15,6 @@ class Cdf:
     def __len__(self) -> int:
         return len(self._sorted)
 
-    @property
-    def values(self) -> list[float]:
-        """The sorted sample."""
-        return list(self._sorted)
-
     def fraction_at_most(self, threshold: float) -> float:
         """P(X <= threshold); 0.0 for an empty sample."""
         if not self._sorted:

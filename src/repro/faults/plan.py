@@ -267,11 +267,6 @@ class FaultPlan:
     def __bool__(self) -> bool:
         return bool(self.specs)
 
-    def specs_for_site(self, site: str) -> list[tuple[int, FaultSpec]]:
-        """(rule index, rule) pairs whose site matches, in plan order."""
-        return [(index, spec) for index, spec in enumerate(self.specs)
-                if spec.site == site]
-
     def to_dict(self) -> dict:
         """JSON-ready form."""
         return {"seed": self.seed,

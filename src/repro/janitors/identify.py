@@ -100,7 +100,3 @@ class JanitorFinder:
             ))
         qualified.sort(key=lambda dev: (dev.file_cv, dev.email))
         return qualified[:self.criteria.top_n]
-
-    def janitor_emails(self, **windows) -> set[str]:
-        """Convenience: the identified developers' emails."""
-        return {dev.email for dev in self.identify(**windows)}

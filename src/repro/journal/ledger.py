@@ -197,13 +197,17 @@ class VerdictLedger:
     # -- compaction ------------------------------------------------------------
 
     def checkpoint(self) -> None:
-        """Write the compacted map atomically, then truncate the WAL."""
+        """Write the compacted map atomically, then truncate the WAL.
+
+        Written without indentation: ``indent=None`` keeps ``json`` on
+        its C encoder, and the map grows with every verdict.
+        """
         atomic_write_json(self.checkpoint_path, {
             "version": CHECKPOINT_VERSION,
             "meta": self.meta,
             "records": [[key, record]
                         for key, record in self._records.items()],
-        })
+        }, indent=None)
         self.journal.truncate_all()
         self.checkpoints_written += 1
         self._since_checkpoint = 0

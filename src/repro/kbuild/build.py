@@ -120,34 +120,6 @@ class MakeInvocation:
     files: list[str] = field(default_factory=list)
 
 
-@dataclass
-class VmlinuxBuild:
-    """A whole-kernel build: the linked image plus any failed units."""
-
-    image: "object"
-    failed: dict[str, str] = field(default_factory=dict)
-    arch: str = ""
-
-    @property
-    def clean(self) -> bool:
-        """True when every enabled unit compiled."""
-        return not self.failed
-
-    @property
-    def verdict(self) -> str:
-        """``CLEAN``, or ``PARTIAL:<arch>`` when any unit failed.
-
-        A ``keep_going`` build that recorded unit failures must never
-        pass for a fully checked kernel — callers that only test
-        ``image`` truthiness silently absorb the failures (the
-        silent-abort bug); this is the explicit signal they should
-        propagate instead.
-        """
-        if self.clean:
-            return "CLEAN"
-        return f"PARTIAL:{self.arch}" if self.arch else "PARTIAL"
-
-
 #: Directories the top-level Makefile always descends into.
 _TOP_LEVEL_DIRS = ("kernel", "mm", "fs", "drivers", "net", "sound", "lib",
                    "crypto", "block", "init", "security", "virt", "ipc")
@@ -199,10 +171,6 @@ class BuildSystem:
     def is_bootstrap(self, path: str) -> bool:
         """True for files the Makefile compiles during setup (§V-D)."""
         return path in self._bootstrap_paths
-
-    def bootstrap_paths(self) -> set[str]:
-        """The set of §V-D bootstrap files."""
-        return set(self._bootstrap_paths)
 
     # -- fault injection and resilience --------------------------------------
 
@@ -751,38 +719,3 @@ class BuildSystem:
                 preprocessed.included_files, preprocessed.missing_includes,
                 ("ok", result))
         return result
-
-    def make_vmlinux(self, arch_name: str, config: Config,
-                     *, keep_going: bool = True) -> "VmlinuxBuild":
-        """``make`` (optionally ``make -k``): compile every enabled
-        builtin unit and link the kernel image. Modular (=m) units are
-        excluded, as they would be built as separate .ko objects.
-
-        With ``keep_going`` (the default), units that fail — e.g. a
-        driver needing another architecture's headers, which real
-        allyesconfig builds also trip over — are recorded in
-        ``failed`` rather than aborting the build. Requires a
-        ``path_lister``; raises :class:`~repro.cc.linker.LinkError`
-        on symbol clashes.
-        """
-        from repro.cc.linker import link
-
-        if self._path_lister is None:
-            raise KbuildError("make_vmlinux requires a path_lister")
-        objects = []
-        failed: dict[str, str] = {}
-        for path in self._path_lister():
-            if not path.endswith(".c"):
-                continue
-            if not self.is_buildable(path, arch_name, config):
-                continue
-            if self.is_modular(path, config):
-                continue
-            try:
-                objects.append(self.make_o(path, arch_name, config))
-            except BuildError as error:
-                if not keep_going:
-                    raise
-                failed[path] = str(error)
-        image = link(objects, architecture=arch_name)
-        return VmlinuxBuild(image=image, failed=failed, arch=arch_name)

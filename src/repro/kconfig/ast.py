@@ -165,12 +165,4 @@ class ConfigSymbol:
         return self.depends_on.evaluate(assignment) != Tristate.N
 
 
-def make_and(parts: list[Expr]) -> Expr | None:
-    """Combine expressions with &&; None for an empty list."""
-    result: Expr | None = None
-    for part in parts:
-        result = part if result is None else AndExpr(result, part)
-    return result
-
-
 ExprEvaluator = Callable[[Expr, Assignment], Tristate]

@@ -1,8 +1,8 @@
 """``.config`` files and the autoconf macro set.
 
 A :class:`Config` is one concrete assignment of tristate values (plus
-int/string values) to symbols. It serializes to the kernel's ``.config``
-format and — crucially for the substrate — exposes
+int/string values) to symbols, parsed from the kernel's ``.config``
+format by :func:`parse_config_text`. It exposes
 :meth:`Config.autoconf_macros`, the macro set the build system injects
 into every compilation (the stand-in for ``include/generated/autoconf.h``):
 
@@ -78,22 +78,6 @@ class Config:
         return sum(1 for value in self.values.values()
                    if value != Tristate.N)
 
-    # -- serialization -----------------------------------------------------
-
-    def to_config_text(self) -> str:
-        """Serialize in the kernel's .config format."""
-        lines: list[str] = [f"# {self.name}"]
-        for symbol in sorted(set(self.values) | set(self.scalar_values)):
-            if symbol in self.scalar_values:
-                lines.append(f'CONFIG_{symbol}="{self.scalar_values[symbol]}"')
-                continue
-            value = self.values[symbol]
-            if value == Tristate.N:
-                lines.append(f"# CONFIG_{symbol} is not set")
-            else:
-                lines.append(f"CONFIG_{symbol}={value.letter}")
-        return "\n".join(lines) + "\n"
-
     # -- autoconf ----------------------------------------------------------
 
     def autoconf_macros(self) -> dict[str, str]:
@@ -107,35 +91,6 @@ class Config:
         for symbol, scalar in self.scalar_values.items():
             macros[f"CONFIG_{symbol}"] = scalar
         return macros
-
-
-def config_diff(old: Config, new: Config) -> list[str]:
-    """Human-readable symbol-level differences between two configs.
-
-    The format mirrors ``scripts/diffconfig`` from the kernel tree:
-    ``+SYM y`` (new symbol), ``-SYM y`` (dropped), ``SYM n -> y``
-    (changed). Useful for explaining what a targeted configuration
-    changed relative to allyesconfig.
-    """
-    lines: list[str] = []
-    symbols = sorted(set(old.values) | set(new.values))
-    for symbol in symbols:
-        before = old.values.get(symbol)
-        after = new.values.get(symbol)
-        if before == after:
-            continue
-        if before is None:
-            lines.append(f"+{symbol} {after.letter}")
-        elif after is None:
-            lines.append(f"-{symbol} {before.letter}")
-        else:
-            lines.append(f"{symbol} {before.letter} -> {after.letter}")
-    for symbol in sorted(set(old.scalar_values) | set(new.scalar_values)):
-        before = old.scalar_values.get(symbol)
-        after = new.scalar_values.get(symbol)
-        if before != after:
-            lines.append(f"{symbol} {before!r} -> {after!r}")
-    return lines
 
 
 def parse_config_text(text: str, *, name: str = ".config") -> Config:

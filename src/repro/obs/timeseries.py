@@ -79,10 +79,6 @@ class MetricsSnapshot:
                    clock_kind=record["clock"],
                    metrics=record["metrics"])
 
-    def registry(self) -> MetricsRegistry:
-        """An independent registry rebuilt from this snapshot."""
-        return registry_from_dict(self.metrics)
-
 
 def validate_snapshot_record(record: dict) -> None:
     """Raise ``ValueError`` when a serialized snapshot is malformed."""
@@ -214,10 +210,6 @@ class Snapshotter:
         self.seq = start_seq
         self.samples_taken = 0
         self._task: "asyncio.Task | None" = None
-
-    def attach(self, sink) -> None:
-        """Fan future snapshots out to ``sink`` too."""
-        self._sinks.append(sink)
 
     def sample(self) -> MetricsSnapshot:
         """Take one snapshot now: merge collectors, ring it, sink it."""

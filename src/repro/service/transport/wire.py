@@ -35,9 +35,9 @@ Verdict payloads reuse the :data:`SCHEMA_VERSION` canonical record
 coordinator can rebuild the *full* :class:`PatchReport` — the
 evaluation runner derives its per-attempt records from it, and the
 differential suite pins the rebuilt report's canonical form
-byte-identical to a local run. Work units cross the wire as inert
-descriptors only (:meth:`repro.core.units.WorkUnit.describe`): thunks
-are closures over session state and never leave their process.
+byte-identical to a local run. No work unit crosses the wire: a unit's
+thunk closes over session state and never leaves its process, and the
+coordinator needs only the per-stage unit counts (``stage_counts``).
 """
 
 from __future__ import annotations
@@ -58,7 +58,6 @@ from repro.core.report import (
     FileStatus,
     PatchReport,
 )
-from repro.core.units import WorkUnit
 from repro.errors import (
     FrameCorruptError,
     FrameTooLargeError,
@@ -300,8 +299,7 @@ def work_message(seq: int, request_id: str, commit_id: str, *,
 def verdict_message(seq: int, request_id: str, commit_id: str, *,
                     report: PatchReport, stage_counts: dict,
                     quarantine: dict, metrics: dict, events: list,
-                    worker_id: int, units: list | None = None,
-                    lease: int = 0) -> dict:
+                    worker_id: int, lease: int = 0) -> dict:
     """One finished assignment: full verdict + telemetry to merge.
 
     ``lease`` echoes the WORK frame's fencing token; a coordinator
@@ -316,7 +314,6 @@ def verdict_message(seq: int, request_id: str, commit_id: str, *,
             "metrics": metrics,
             "events": list(events),
             "worker_id": worker_id,
-            "units": list(units or []),
             "lease": lease}
 
 
@@ -493,27 +490,6 @@ def fault_plan_from_wire(payload: dict | None):
     except FaultPlanError as error:
         raise WireSchemaError(
             f"malformed fault plan on the wire: {error}") from error
-
-
-# -- WorkUnit descriptor codec ----------------------------------------------
-
-_UNIT_FIELDS = ("stage", "arch", "config_target", "paths", "deps",
-                "unit_id")
-
-
-def unit_to_wire(unit: WorkUnit) -> dict:
-    """The unit's inert descriptor (no thunk crosses the wire)."""
-    return unit.describe()
-
-
-def unit_from_wire(payload: dict) -> WorkUnit:
-    """Rebuild a descriptor unit; missing fields raise."""
-    missing = [name for name in _UNIT_FIELDS if name not in payload]
-    if missing:
-        raise WireSchemaError(
-            f"work-unit descriptor missing field(s) "
-            f"{', '.join(missing)}")
-    return WorkUnit.from_description(payload)
 
 
 # -- PatchReport codec ------------------------------------------------------

@@ -200,8 +200,7 @@ class WorkerRuntime:
             payload["seq"], request_id, commit.id,
             report=report, stage_counts=dag.stage_counts(),
             quarantine=quarantine, metrics=delta.to_dict(),
-            events=events, worker_id=self.init.worker_id,
-            units=[unit.describe() for unit in dag.units])
+            events=events, worker_id=self.init.worker_id)
 
 
 def _fire_chaos(channel, chaos: "str | None") -> None:

@@ -90,14 +90,6 @@ class DeterministicRng:
             raise ValueError(f"probability out of range: {probability}")
         return self._random.random() < probability
 
-    def lognormal(self, mu: float, sigma: float) -> float:
-        """Log-normal draw."""
-        return self._random.lognormvariate(mu, sigma)
-
-    def pareto(self, alpha: float) -> float:
-        """Pareto draw (heavy-tailed sizes)."""
-        return self._random.paretovariate(alpha)
-
     def zipf_rank(self, n: int, skew: float = 1.0) -> int:
         """Draw a 0-based rank in [0, n) with a Zipf-like bias toward 0.
 

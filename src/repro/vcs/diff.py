@@ -94,11 +94,6 @@ class FileDiff:
     path: str
     hunks: list[Hunk] = field(default_factory=list)
 
-    @property
-    def is_modification(self) -> bool:
-        """True when the file exists on both sides (``--diff-filter=M``)."""
-        return True
-
     def render(self) -> str:
         """git-style file diff text."""
         header = (f"diff --git a/{self.path} b/{self.path}\n"
@@ -146,11 +141,6 @@ class Patch:
                 deletions += len(hunk.removed_lines())
         return PatchStats(files_changed=len(self.files),
                           insertions=insertions, deletions=deletions)
-
-    @classmethod
-    def parse(cls, text: str) -> "Patch":
-        """Parse unified-diff text (see parse_patch)."""
-        return parse_patch(text)
 
 
 @dataclass(frozen=True)

@@ -65,12 +65,6 @@ class Corpus:
         return [self.repository.resolve(record.commit_id)
                 for record in self.eval_metadata]
 
-    def janitor_personas(self) -> list[Persona]:
-        """The roster's janitor personas."""
-        from repro.workload.personas import PersonaKind
-        return [persona for persona in self.roster
-                if persona.kind is PersonaKind.JANITOR]
-
 
 def build_corpus(spec: CorpusSpec | None = None) -> Corpus:
     """Deterministically build a corpus from its spec."""

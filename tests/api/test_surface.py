@@ -3,13 +3,15 @@ for everything else.
 
 These tests keep the surface from growing back: the retired spellings
 stay gone, ``repro.api.__all__`` is pinned to the names its callers
-reach, package ``__init__`` files hold only their docstrings, and no
-module below the facade imports it.
+reach, package ``__init__`` files hold only their docstrings, no
+module below the facade imports it, and DESIGN.md §3 names every
+module exactly once.
 """
 
 import ast
 import importlib
 import pathlib
+import re
 
 import pytest
 
@@ -17,6 +19,7 @@ import repro
 from repro import api
 
 SRC = pathlib.Path(repro.__file__).parent
+DESIGN = SRC.parent.parent / "DESIGN.md"
 
 #: exactly the names the CLI, ``examples/``, ``tests/``, ``benchmarks/``
 #: and ``e2ebench/`` reach through ``repro.api``
@@ -116,3 +119,35 @@ class TestNothingBelowTheFacadeImportsIt:
             for lineno in _imports_facade(_parse(path)):
                 offenders.append(f"{path.relative_to(SRC.parent)}:{lineno}")
         assert offenders == []
+
+
+#: an entry line of the §3 map: indentation, then a module or package
+_MAP_ENTRY = re.compile(r"^(?P<indent> {2,8})(?P<name>\w+(?:\.py|/))\s")
+
+
+def _module_map() -> list[str]:
+    """Paths (relative to ``src/repro``) the DESIGN.md §3 block names."""
+    section = DESIGN.read_text().split("## 3. System inventory")[1]
+    block = section.split("```")[1]
+    lines = block.strip("\n").split("\n")
+    assert lines[0] == "src/repro/"
+    named, parents = [], []
+    for line in lines[1:]:
+        match = _MAP_ENTRY.match(line)
+        if match is None:
+            continue
+        depth = len(match["indent"]) // 2 - 1
+        del parents[depth:]
+        if match["name"].endswith("/"):
+            parents.append(match["name"])
+        else:
+            named.append("".join(parents) + match["name"])
+    return named
+
+
+class TestModuleMap:
+    def test_design_names_every_module_exactly_once(self):
+        modules = sorted(str(path.relative_to(SRC))
+                         for path in SRC.rglob("*.py")
+                         if path.name != "__init__.py")
+        assert sorted(_module_map()) == modules

@@ -1,9 +1,21 @@
-"""Process-level chaos primitives: CrashPoint and crash_offsets."""
+"""Chaos primitives: CrashPoint, crash_offsets, transport_chaos_plan."""
 
 import pytest
 
 from repro.errors import SimulatedCrashError
-from repro.faults.chaos import CrashPoint, crash_offsets
+from repro.faults.chaos import (
+    CrashPoint,
+    crash_offsets,
+    transport_chaos_plan,
+)
+from repro.faults.plan import (
+    KIND_NET_HALF_OPEN,
+    KIND_NET_PARTITION,
+    KIND_NET_SLOW,
+    KIND_SOCKET_DROP,
+    KIND_WORKER_HANG,
+    KIND_WORKER_KILL,
+)
 
 
 class TestCrashPoint:
@@ -72,3 +84,25 @@ class TestCrashOffsets:
     def test_too_short_run_is_rejected(self):
         with pytest.raises(ValueError):
             crash_offsets("s", 1, 1)
+
+
+class TestTransportChaosPlan:
+    #: each rate keyword and the fault kind it schedules, in plan order
+    RATES = {"kill_rate": KIND_WORKER_KILL, "drop_rate": KIND_SOCKET_DROP,
+             "hang_rate": KIND_WORKER_HANG,
+             "partition_rate": KIND_NET_PARTITION,
+             "slow_rate": KIND_NET_SLOW,
+             "half_open_rate": KIND_NET_HALF_OPEN}
+
+    def test_transport_chaos_plan_validates(self):
+        with pytest.raises(ValueError):
+            transport_chaos_plan("seed")
+        for rate, kind in self.RATES.items():
+            plan = transport_chaos_plan("seed", **{rate: 0.5})
+            assert [(spec.kind, spec.rate, spec.times)
+                    for spec in plan.specs] == [(kind, 0.5, 1)], rate
+        plan = transport_chaos_plan(7, times=2,
+                                    **{rate: 0.25 for rate in self.RATES})
+        assert plan.seed == "7"
+        assert [spec.kind for spec in plan.specs] == list(self.RATES.values())
+        assert all(spec.times == 2 for spec in plan.specs)

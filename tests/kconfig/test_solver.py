@@ -153,19 +153,6 @@ class TestDefconfig:
         assert config.tristate("DEP") == Tristate.Y
 
 
-class TestConfigSerialization:
-    def test_roundtrip(self):
-        from repro.kconfig.configfile import parse_config_text
-        config = allyesconfig(model_from(BASIC))
-        text = config.to_config_text()
-        reparsed = parse_config_text(text)
-        assert reparsed.values == config.values
-
-    def test_not_set_lines_present(self):
-        config = allyesconfig(model_from(BASIC))
-        assert "# CONFIG_IMPOSSIBLE is not set" in config.to_config_text()
-
-
 class TestPropertyBased:
     @given(st.integers(min_value=1, max_value=12), st.integers(0, 2**30))
     def test_fixpoint_monotone_chain(self, length, seed):

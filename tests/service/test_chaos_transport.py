@@ -174,14 +174,6 @@ class TestBreakerExhaustion:
 
 
 class TestRateBasedStorm:
-    def test_transport_chaos_plan_validates(self):
-        with pytest.raises(ValueError):
-            transport_chaos_plan("seed")
-        plan = transport_chaos_plan("seed", kill_rate=0.5,
-                                    drop_rate=0.25, times=2)
-        kinds = {spec.kind for spec in plan.specs}
-        assert kinds == {KIND_WORKER_KILL, KIND_SOCKET_DROP}
-
     def test_seeded_storm_is_deterministic_and_identical(
             self, small_corpus, checkable_commits, clean_records):
         """A rate-based storm (some pickups die, drawn from the plan

@@ -22,7 +22,6 @@ from repro.core.report import (
     FileStatus,
     PatchReport,
 )
-from repro.core.units import WorkUnit
 from repro.errors import (
     FrameCorruptError,
     FrameTooLargeError,
@@ -78,21 +77,6 @@ def control_messages(draw):
             draw(st.integers(min_value=1, max_value=2**31)),
             draw(st.text(max_size=40)), draw(_names))
     return wire.MSG_SHUTDOWN, wire.shutdown_message()
-
-
-@st.composite
-def work_units(draw):
-    """Arbitrary WorkUnit descriptors (thunks never cross the wire)."""
-    return WorkUnit(
-        stage=draw(st.sampled_from(["mutate", "config", "preprocess",
-                                    "grep", "certify"])),
-        run=lambda: None,
-        arch=draw(st.none() | _archs),
-        config_target=draw(st.none() | _names),
-        paths=tuple(draw(st.lists(_names, max_size=4))),
-        deps=tuple(draw(st.lists(
-            st.integers(min_value=0, max_value=99), max_size=4))),
-        unit_id=draw(st.integers(min_value=-1, max_value=999)))
 
 
 @st.composite
@@ -180,15 +164,6 @@ class TestRoundTrip:
         got_type, got_payload, end = wire.decode_frame(data, end)
         assert (got_type, got_payload) == message
         assert end == len(data)
-
-    @given(unit=work_units())
-    @settings(max_examples=60, deadline=None)
-    def test_work_unit_descriptors(self, unit):
-        rebuilt = wire.unit_from_wire(wire.unit_to_wire(unit))
-        assert rebuilt.describe() == unit.describe()
-        # descriptor units are inert: the thunk must refuse to run
-        with pytest.raises(RuntimeError):
-            rebuilt.run()
 
     @given(report=patch_reports())
     @settings(max_examples=40, deadline=None)
@@ -314,10 +289,6 @@ class TestSchemaValidation:
     def test_unknown_options_field_rejected(self):
         with pytest.raises(WireSchemaError):
             wire.options_from_wire({"no_such_option": True})
-
-    def test_unit_descriptor_missing_field_rejected(self):
-        with pytest.raises(WireSchemaError):
-            wire.unit_from_wire({"stage": "config"})
 
     def test_tampered_verdict_record_rejected(self):
         """The decode-side self-check: a canonical record that does not
