@@ -7,8 +7,6 @@ configs configurations into account." The defconfigs buy a small but
 nonzero increment.
 """
 
-import pytest
-
 from repro.core.jmake import JMakeOptions
 from repro.evalsuite.runner import EvaluationSession
 

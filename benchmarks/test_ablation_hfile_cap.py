@@ -7,8 +7,6 @@ every fan-out header) against the default, counting headers whose
 verdict degrades — plus the invocation savings that motivate the cap.
 """
 
-import pytest
-
 from repro.core.jmake import JMakeOptions
 from repro.core.report import FileStatus
 from repro.evalsuite.runner import EvaluationSession

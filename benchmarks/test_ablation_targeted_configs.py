@@ -8,8 +8,6 @@ window with and without the Vampyr/Troll-style generator and counts the
 recovered Table IV rows.
 """
 
-import pytest
-
 from repro.core.jmake import JMakeOptions
 from repro.core.report import FileStatus
 from repro.evalsuite.runner import EvaluationSession

@@ -1,11 +1,11 @@
-"""Wall-clock benchmark: cross-request batching vs per-request dispatch.
+"""Wall-clock benchmark: the check service vs per-request dispatch.
 
 Per-request dispatch is how a naive bot would run JMake: every incoming
 request gets its own session and its own private build cache, so each
 of them re-solves the same Kconfig models and configurations. The
-check service instead shares one cache across requests and coalesces
-preprocess units, so at steady state a batch of concurrent requests
-rides work its predecessors already paid for.
+check service instead keeps one warm build cache across requests, so
+at steady state a batch of concurrent requests rides work its
+predecessors already paid for.
 
 The acceptance bar (ISSUE 4): the steady-state service must clear
 1.5x the per-request-dispatch throughput at 8 concurrent requests.
@@ -70,10 +70,9 @@ def test_perf_service_batching_speedup(bench_corpus, request_batch,
             session.check_commit(bench_corpus.repository, commit))
     t_dispatch = time.perf_counter() - t0
 
-    # the service: shared cache + cross-request batching; one warmup
-    # batch models the long-lived steady state, the second is timed
-    service = CheckService(bench_corpus,
-                           config=ServiceConfig(shards=2),
+    # the service: one shared warm cache; one warmup batch models the
+    # long-lived steady state, the second is timed
+    service = CheckService(bench_corpus, config=ServiceConfig(),
                            cache=BuildCache())
     service.check_commits(commit_ids)
     t0 = time.perf_counter()

@@ -200,7 +200,7 @@ def evaluate(corpus: Corpus, *,
              limit: int | None = None,
              use_ground_truth_janitors: bool = False,
              jobs: int = 1,
-             service: "bool | int | ServiceConfig" = False
+             service: "bool | ServiceConfig" = False
              ) -> EvaluationResult:
     """Run the §V evaluation protocol over a corpus window."""
     session = EvaluationSession(

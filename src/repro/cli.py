@@ -9,9 +9,9 @@ Subcommands::
     jmake janitors [--commits N]    identify janitors (Tables I-II)
     jmake trace <commit>            check one commit with tracing on and
                                     print its annotated span tree
-    jmake serve [--shards N]        start the sharded check service,
-                                    submit a batch of commits, report
-                                    per-request verdicts and scheduling
+    jmake serve [--transport T]     start the check service, submit a
+                                    batch of commits, report
+                                    per-request verdicts and service
                                     stats, and drain cleanly
     jmake worker --connect H:P      join a coordinator as a cross-host
                                     worker: authenticate with the
@@ -25,7 +25,7 @@ Subcommands::
                                     latency) or event-kind counts
     jmake watch [--out-dir D]       fleet mode: continuously pull unseen
                                     commits from a stream, check them
-                                    through the sharded service, journal
+                                    through the check service, journal
                                     every verdict, and fold the journal
                                     into the persistent verdict store
     jmake query <store>             ask an ingested store questions —
@@ -264,12 +264,8 @@ def _build_telemetry(metrics_paths, events_path) -> tuple:
 
 def _serve(args: argparse.Namespace) -> int:
     try:
-        api.validate_jobs(args.shards, what="--shards")
-        if args.jobs is not None:
-            api.validate_jobs(args.jobs, what="--jobs")
+        api.validate_jobs(args.jobs, what="--jobs")
         config = api.ServiceConfig(
-            shards=args.shards,
-            batch_limit=args.batch_limit,
             max_pending_requests=args.max_pending,
             transport=args.transport,
             jobs=args.jobs,
@@ -338,20 +334,16 @@ def _serve(args: argparse.Namespace) -> int:
                      corpus.repository.show(commit))]
     if args.limit is not None:
         checkable = checkable[:args.limit]
-    if config.transport == "asyncio":
-        print(f"service: transport=asyncio shards={config.shards} "
-              f"batch_limit={config.batch_limit}; submitting "
-              f"{len(checkable)} request(s) ...")
-    else:
-        fleet = ""
+    workers = ""
+    if config.transport != "asyncio":
+        workers = (f" jobs={config.jobs} "
+                   f"start_method={config.start_method}")
         if config.listen:
-            fleet = f" listen={config.listen}"
+            workers += f" listen={config.listen}"
         if not config.spawn_workers:
-            fleet += " (awaiting external workers)"
-        print(f"service: transport={config.transport} "
-              f"jobs={config.jobs or config.shards} "
-              f"start_method={config.start_method}{fleet}; submitting "
-              f"{len(checkable)} request(s) ...")
+            workers += " (awaiting external workers)"
+    print(f"service: transport={config.transport}{workers}; submitting "
+          f"{len(checkable)} request(s) ...")
     try:
         results = service.check_commits(
             [commit.id for commit in checkable])
@@ -364,23 +356,12 @@ def _serve(args: argparse.Namespace) -> int:
               f"{result.verdict} "
               f"({result.elapsed_sim_seconds:.1f}s simulated)")
     print(f"\nrequests completed: {stats['requests_completed']}")
-    for index, shard in enumerate(stats["shards"]):
-        if "units_run" in shard:
-            print(f"  shard {index}: units={shard['units_run']} "
-                  f"batches={shard['batches_run']} "
-                  f"archs={','.join(shard['archs']) or '-'} "
-                  f"queue_depth={shard['queue_depth']}")
-        else:
-            print(f"  worker {shard['worker']}: pid={shard['pid']} "
-                  f"assignments={shard['assignments']} "
-                  f"crashes={shard['crashes']} "
-                  f"hangs={shard['hangs']} "
-                  f"restarts={shard['restarts']}")
-    batcher = stats["batcher"]
-    if batcher:
-        print(f"  batcher: flushes={batcher.get('flushes', 0)} "
-              f"units_batched={batcher.get('units_batched', 0)} "
-              f"pending={batcher.get('pending_units', 0)}")
+    for worker in stats["shards"]:
+        print(f"  worker {worker['worker']}: pid={worker['pid']} "
+              f"assignments={worker['assignments']} "
+              f"crashes={worker['crashes']} "
+              f"hangs={worker['hangs']} "
+              f"restarts={worker['restarts']}")
     health = stats["health"]
     print(f"  health: {health['status']} "
           f"(breakers={health['breaker_open_shards'] or '-'} "
@@ -402,7 +383,7 @@ def _serve(args: argparse.Namespace) -> int:
     if stats_out:
         api.atomic_write_json(stats_out, stats)
         print(f"stats written to {stats_out}")
-    drained = not stats["started"] and not batcher.get("pending_units")
+    drained = not stats["started"]
     print("drain: clean" if drained else "drain: NOT CLEAN")
     return 0 if drained and len(results) == len(checkable) else 1
 
@@ -464,15 +445,12 @@ def _worker(args: argparse.Namespace) -> int:
 
 def _watch(args: argparse.Namespace) -> int:
     try:
-        api.validate_jobs(args.shards, what="--shards")
-        if args.jobs is not None:
-            api.validate_jobs(args.jobs, what="--jobs")
+        api.validate_jobs(args.jobs, what="--jobs")
         resolved = api.resolve_outputs(
             args.out_dir,
             {"store": args.store, "journal": args.journal,
              "events": args.events_out, "stats": args.stats_out})
         service_config = api.ServiceConfig(
-            shards=args.shards,
             transport=args.transport,
             jobs=args.jobs,
             start_method=args.start_method)
@@ -525,7 +503,7 @@ def _watch(args: argparse.Namespace) -> int:
         f"--store {store_path} --journal {journal}"
     mode = " follow" if args.follow else ""
     print(f"watch: source={args.source} transport={args.transport} "
-          f"shards={args.shards} batch_size={args.batch_size}{mode}; "
+          f"jobs={args.jobs} batch_size={args.batch_size}{mode}; "
           f"store={store_path} journal={journal}")
     session = api.WatchSession(corpus, store=store_path,
                                journal=journal, source=source,
@@ -904,31 +882,27 @@ def main(argv: list[str] | None = None) -> int:
     evaluate.set_defaults(func=_evaluate)
 
     serve = sub.add_parser("serve",
-                           help="start the sharded check service, run a "
-                                "batch of requests, and drain")
+                           help="start the check service, run a batch "
+                                "of requests, and drain")
     serve.add_argument("--commits", type=int, default=400)
     serve.add_argument("--limit", type=int, default=8,
                        help="requests to submit from the eval window")
     serve.add_argument("--seed", default="jmake-cli")
-    serve.add_argument("--shards", type=int, default=2,
-                       help="per-architecture shard workers")
     serve.add_argument("--transport", default="asyncio",
                        choices=("asyncio", "mp", "socket"),
-                       help="execution backend: in-process asyncio "
-                            "shards, warm multiprocessing workers over "
-                            "pipes, or workers over a localhost socket "
-                            "speaking the framed wire protocol")
-    serve.add_argument("--jobs", type=int, default=None,
+                       help="execution backend: checks on this "
+                            "process's asyncio loop, warm "
+                            "multiprocessing workers over pipes, or "
+                            "workers over a localhost socket speaking "
+                            "the framed wire protocol")
+    serve.add_argument("--jobs", type=int, default=2,
                        help="worker processes for mp/socket transports "
-                            "(default: --shards)")
+                            "(default: 2)")
     serve.add_argument("--start-method", default=None,
                        choices=("fork", "spawn", "forkserver"),
                        help="multiprocessing start method for worker "
                             "processes (default: JMAKE_START_METHOD "
                             "from the environment, else fork)")
-    serve.add_argument("--batch-limit", type=int, default=50,
-                       help="max files per coalesced preprocess "
-                            "invocation (§III-D)")
     serve.add_argument("--max-pending", type=int, default=64,
                        help="admission control: concurrent requests")
     serve.add_argument("--no-cache", action="store_true",
@@ -1094,13 +1068,12 @@ def main(argv: list[str] | None = None) -> int:
                        metavar="SECONDS",
                        help="follow mode: stop after this long with "
                             "no new commits (default: wait forever)")
-    watch.add_argument("--shards", type=int, default=2,
-                       help="per-architecture shard workers")
     watch.add_argument("--transport", default="asyncio",
                        choices=("asyncio", "mp", "socket"),
                        help="check-service execution backend")
-    watch.add_argument("--jobs", type=int, default=None,
-                       help="worker processes for mp/socket transports")
+    watch.add_argument("--jobs", type=int, default=2,
+                       help="worker processes for mp/socket transports "
+                            "(default: 2)")
     watch.add_argument("--start-method", default=None,
                        choices=("fork", "spawn", "forkserver"),
                        help="multiprocessing start method")

@@ -14,11 +14,6 @@ For each candidate (architecture, configuration), in order:
    succeeds);
 5. stop when every token of a file has been credited, or when the
    candidates are exhausted.
-
-The pipeline is expressed as a generator of :class:`~repro.core.units.
-WorkUnit` steps (config → preprocess-batch → token-grep → certify), so
-the same control flow serves both sequential checks
-(:func:`~repro.core.units.run_units`) and the sharded check service.
 """
 
 from __future__ import annotations
@@ -28,15 +23,6 @@ from dataclasses import dataclass, field
 from repro.core.archselect import ArchSelection, ArchSelector, Candidate
 from repro.core.mutation import MutationOverlay, MutationPlan
 from repro.core.report import ArchAttempt, FileReport, FileStatus
-from repro.core.units import (
-    STAGE_CERTIFY,
-    STAGE_CONFIG,
-    STAGE_GREP,
-    STAGE_PREPROCESS,
-    UnitDag,
-    UnitFailure,
-    UnitGenerator,
-)
 from repro.errors import KconfigError, ToolchainError
 from repro.kbuild.build import BuildError, BuildSystem
 from repro.obs.metrics import NULL_METRICS
@@ -74,37 +60,33 @@ class CFileOutcome:
     header_tokens_found: set[str] = field(default_factory=set)
 
 
-def make_config_unit(dag: UnitDag, build: BuildSystem, arch: str,
-                     config_target: str, deps=()):
-    """A config-stage unit; its result is a Config or UnitFailure."""
-    def run():
+@dataclass(frozen=True)
+class StepFailure:
+    """A config or certify step that failed in a way the pipeline
+    records on the attempt instead of raising."""
+
+    error: str
+    kind: str = ""
+
+
+def try_make_config(build: BuildSystem, arch: str, config_target: str):
+    """Solve one configuration: a Config, or a :class:`StepFailure`."""
+    try:
+        return build.make_config(arch, config_target)
+    except (ToolchainError, KconfigError, BuildError) as error:
+        return StepFailure(str(error), kind=getattr(error, "kind", ""))
+
+
+def try_certify(build: BuildSystem, overlay: MutationOverlay, path: str,
+                arch: str, config):
+    """Clean .o of the unmutated tree: ``True``, or a
+    :class:`StepFailure`."""
+    with overlay.clean_build():
         try:
-            return build.make_config(arch, config_target)
-        except (ToolchainError, KconfigError, BuildError) as error:
-            return UnitFailure(str(error),
-                               kind=getattr(error, "kind", ""))
-    return dag.new_unit(STAGE_CONFIG, run, arch=arch,
-                        config_target=config_target,
-                        paths=(config_target,), deps=deps)
-
-
-def make_certify_unit(dag: UnitDag, build: BuildSystem,
-                      overlay: MutationOverlay, path: str, arch: str,
-                      config, deps=()):
-    """A certify-stage unit: clean .o of the unmutated tree.
-
-    Result: ``True`` on success, :class:`UnitFailure` otherwise.
-    """
-    def run():
-        with overlay.clean_build():
-            try:
-                build.make_o(path, arch, config)
-                return True
-            except BuildError as error:
-                return UnitFailure(str(error), kind=error.kind)
-    return dag.new_unit(STAGE_CERTIFY, run, arch=arch,
-                        config_target=config.name, paths=(path,),
-                        deps=deps)
+            build.make_o(path, arch, config)
+            return True
+        except BuildError as error:
+            return StepFailure(str(error), kind=error.kind)
 
 
 class CFileProcessor:
@@ -122,16 +104,12 @@ class CFileProcessor:
         self._tracer = tracer if tracer is not None else NULL_TRACER
         self._metrics = metrics if metrics is not None else NULL_METRICS
 
-    def iter_process(self, worktree: Worktree,
-                     c_plans: list[MutationPlan],
-                     h_plans: list[MutationPlan],
-                     overlay: MutationOverlay | None = None,
-                     dag: UnitDag | None = None,
-                     deps: tuple[int, ...] = ()) -> UnitGenerator:
-        """Run all candidates for all files; yields work units and
-        returns the per-file reports."""
-        if dag is None:
-            dag = UnitDag()
+    def process(self, worktree: Worktree,
+                c_plans: list[MutationPlan],
+                h_plans: list[MutationPlan],
+                overlay: MutationOverlay | None = None) -> CFileOutcome:
+        """Run all candidates for all files; returns the per-file
+        reports."""
         header_tokens: set[str] = set()
         all_header_tokens = {token for plan in h_plans
                              for token in plan.tokens}
@@ -164,15 +142,13 @@ class CFileProcessor:
                 state.candidate_index = max(
                     state.candidate_index,
                     state.selection.candidates.index(candidate) + 1)
-            yield from self._iter_candidate(dag, deps, overlay, candidate,
-                                            batch, all_header_tokens,
-                                            header_tokens)
+            self._run_candidate(overlay, candidate, batch,
+                                all_header_tokens, header_tokens)
 
         if self._use_targeted_configs:
             for state in states.values():
                 if not state.satisfied and state.plan.tokens:
-                    yield from self._iter_targeted(dag, deps, overlay,
-                                                   state)
+                    self._run_targeted(overlay, state)
 
         reports = {path: self._finalize(state)
                    for path, state in states.items()}
@@ -181,8 +157,8 @@ class CFileProcessor:
 
     # -- targeted covering configurations (§VII extension) ----------------
 
-    def _iter_targeted(self, dag: UnitDag, deps, overlay: MutationOverlay,
-                       state: "_FileState") -> UnitGenerator:
+    def _run_targeted(self, overlay: MutationOverlay,
+                      state: "_FileState") -> None:
         """Last resort: build configurations aimed at the exact blocks
         holding the still-uncovered changed lines (Vampyr/Troll style,
         the paper's suggested §VII complement)."""
@@ -216,41 +192,24 @@ class CFileProcessor:
                 name=f"targeted:{state.plan.path}:{block.start}")
             if config is None:
                 continue
-            adopt_unit = dag.new_unit(
-                STAGE_CONFIG,
-                lambda config=config: self._build.adopt_config(host, config),
-                arch=host, config_target=config.name,
-                paths=(config.name,), deps=deps)
-            yield adopt_unit
+            self._build.adopt_config(host, config)
             attempt = ArchAttempt(arch=host, config_target=config.name)
             state.attempts.append(attempt)
             self._metrics.counter("arch.attempts").inc()
-            preprocess_unit = dag.new_unit(
-                STAGE_PREPROCESS,
-                lambda config=config: self._build.make_i(
-                    [state.plan.path], host, config),
-                arch=host, config_target=config.name,
-                paths=(state.plan.path,), deps=(adopt_unit.unit_id,))
-            result = (yield preprocess_unit)[0]
+            result = self._build.make_i([state.plan.path], host,
+                                        config)[0]
             if not result.ok:
                 attempt.error = result.error
                 continue
             attempt.i_ok = True
             state.saw_i_success = True
-            i_text = result.i_text or ""
-            grep_unit = dag.new_unit(
-                STAGE_GREP,
-                lambda i_text=i_text: state.plan.tokens_found_in(i_text),
-                paths=(state.plan.path,),
-                deps=(preprocess_unit.unit_id,))
-            found_now = yield grep_unit
+            found_now = state.plan.tokens_found_in(result.i_text or "")
             attempt.tokens_found = found_now
             state.tokens_seen_in_i |= found_now
             if not found_now - state.found_tokens:
                 continue
-            certified = yield make_certify_unit(
-                dag, self._build, overlay, state.plan.path, host, config,
-                deps=(grep_unit.unit_id,))
+            certified = try_certify(self._build, overlay, state.plan.path,
+                                    host, config)
             if certified is True:
                 attempt.o_ok = True
                 state.saw_o_success = True
@@ -276,30 +235,26 @@ class CFileProcessor:
             state.done = True
         return None
 
-    def _iter_candidate(self, dag: UnitDag, deps,
-                        overlay: MutationOverlay,
-                        candidate: Candidate,
-                        batch: list["_FileState"],
-                        all_header_tokens: set[str],
-                        header_tokens: set[str]) -> UnitGenerator:
+    def _run_candidate(self, overlay: MutationOverlay,
+                       candidate: Candidate,
+                       batch: list["_FileState"],
+                       all_header_tokens: set[str],
+                       header_tokens: set[str]) -> None:
         with self._tracer.span("cfile.candidate", arch=candidate.arch,
                                config=candidate.config_target,
                                files=len(batch)):
             self._metrics.counter("arch.attempts").inc(len(batch))
-            yield from self._iter_candidate_traced(
-                dag, deps, overlay, candidate, batch, all_header_tokens,
-                header_tokens)
+            self._run_candidate_traced(overlay, candidate, batch,
+                                       all_header_tokens, header_tokens)
 
-    def _iter_candidate_traced(self, dag: UnitDag, deps,
-                               overlay: MutationOverlay,
-                               candidate: Candidate,
-                               batch: list["_FileState"],
-                               all_header_tokens: set[str],
-                               header_tokens: set[str]) -> UnitGenerator:
-        config_unit = make_config_unit(dag, self._build, candidate.arch,
-                                       candidate.config_target, deps=deps)
-        config = yield config_unit
-        if isinstance(config, UnitFailure):
+    def _run_candidate_traced(self, overlay: MutationOverlay,
+                              candidate: Candidate,
+                              batch: list["_FileState"],
+                              all_header_tokens: set[str],
+                              header_tokens: set[str]) -> None:
+        config = try_make_config(self._build, candidate.arch,
+                                 candidate.config_target)
+        if isinstance(config, StepFailure):
             for state in batch:
                 state.attempts.append(ArchAttempt(
                     arch=candidate.arch,
@@ -310,14 +265,7 @@ class CFileProcessor:
         paths = [state.plan.path for state in batch]
         for start in range(0, len(paths), self._batch_limit):
             chunk = paths[start:start + self._batch_limit]
-            preprocess_unit = dag.new_unit(
-                STAGE_PREPROCESS,
-                lambda chunk=chunk, config=config: self._build.make_i(
-                    chunk, candidate.arch, config),
-                arch=candidate.arch,
-                config_target=candidate.config_target,
-                paths=chunk, deps=(config_unit.unit_id,))
-            results = yield preprocess_unit
+            results = self._build.make_i(chunk, candidate.arch, config)
             for state, result in zip(batch[start:start + self._batch_limit],
                                      results):
                 attempt = ArchAttempt(arch=candidate.arch,
@@ -329,22 +277,14 @@ class CFileProcessor:
                 attempt.i_ok = True
                 state.saw_i_success = True
                 i_text = result.i_text or ""
-
-                def grep(state=state, i_text=i_text):
-                    with self._tracer.span("grep.tokens",
-                                           path=state.plan.path) as span:
-                        found_now = state.plan.tokens_found_in(i_text)
-                        header_found_now = {
-                            token for token in all_header_tokens
-                            if token in i_text}
-                        span.set("found", len(found_now))
-                        span.set("header_found", len(header_found_now))
-                    return found_now, header_found_now
-
-                grep_unit = dag.new_unit(
-                    STAGE_GREP, grep, paths=(state.plan.path,),
-                    deps=(preprocess_unit.unit_id,))
-                found_now, header_found_now = yield grep_unit
+                with self._tracer.span("grep.tokens",
+                                       path=state.plan.path) as span:
+                    found_now = state.plan.tokens_found_in(i_text)
+                    header_found_now = {token
+                                        for token in all_header_tokens
+                                        if token in i_text}
+                    span.set("found", len(found_now))
+                    span.set("header_found", len(header_found_now))
                 state.tokens_seen_in_i |= found_now
                 # tokens_found records what this attempt's .i surfaced,
                 # whether or not the certification .o succeeds.
@@ -353,9 +293,9 @@ class CFileProcessor:
                     continue
                 # Mutants detected: certify with a clean .o build of the
                 # fully unmutated tree.
-                certified = yield make_certify_unit(
-                    dag, self._build, overlay, state.plan.path,
-                    candidate.arch, config, deps=(grep_unit.unit_id,))
+                certified = try_certify(self._build, overlay,
+                                        state.plan.path, candidate.arch,
+                                        config)
                 if certified is True:
                     attempt.o_ok = True
                 else:

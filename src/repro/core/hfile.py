@@ -16,10 +16,6 @@ Candidates are compiled "as though they all occurred in the same patch
 but without mutations" of their own: only the header's tokens are being
 hunted. Success: every header token appears in the ``.i`` of at least
 one candidate that also compiles cleanly.
-
-Like the ``.c`` pipeline, the control flow is a generator of
-:class:`~repro.core.units.WorkUnit` steps; :meth:`HFileProcessor.
-process` drives it inline, the check service drives it sharded.
 """
 
 from __future__ import annotations
@@ -30,17 +26,9 @@ from dataclasses import dataclass
 from typing import Callable
 
 from repro.core.archselect import ArchSelector
-from repro.core.cfile import make_certify_unit, make_config_unit
+from repro.core.cfile import StepFailure, try_certify, try_make_config
 from repro.core.mutation import MutationOverlay, MutationPlan
 from repro.core.report import ArchAttempt, FileReport, FileStatus
-from repro.core.units import (
-    STAGE_GREP,
-    STAGE_PREPROCESS,
-    UnitDag,
-    UnitFailure,
-    UnitGenerator,
-    run_units,
-)
 from repro.kbuild.build import BuildSystem
 from repro.obs.metrics import NULL_METRICS
 from repro.obs.tracer import NULL_TRACER
@@ -126,17 +114,6 @@ class HFileProcessor:
                 already_found: set[str],
                 overlay: MutationOverlay | None = None) -> FileReport:
         """Resolve one header's remaining tokens via candidate .c files."""
-        return run_units(self.iter_process(worktree, plan, already_found,
-                                           overlay=overlay))
-
-    def iter_process(self, worktree: Worktree, plan: MutationPlan,
-                     already_found: set[str],
-                     overlay: MutationOverlay | None = None,
-                     dag: UnitDag | None = None,
-                     deps: tuple[int, ...] = ()) -> UnitGenerator:
-        """The unit-yielding form of :meth:`process`."""
-        if dag is None:
-            dag = UnitDag()
         tokens = set(plan.tokens)
         found = set(already_found) & tokens
         attempts: list[ArchAttempt] = []
@@ -171,25 +148,17 @@ class HFileProcessor:
         # included by many .c files is what produces the paper's large
         # .i invocations).
         host = self._build.registry.host.name
-        host_config_unit = make_config_unit(dag, self._build, host,
-                                            "allyesconfig", deps=deps)
-        host_config = yield host_config_unit
-        if isinstance(host_config, UnitFailure):
+        host_config = try_make_config(self._build, host, "allyesconfig")
+        if isinstance(host_config, StepFailure):
             host_config = None
         if host_config is not None:
             for start in range(0, len(candidates), self._batch_limit):
                 if tokens <= found:
                     break
                 chunk = candidates[start:start + self._batch_limit]
-                preprocess_unit = dag.new_unit(
-                    STAGE_PREPROCESS,
-                    lambda chunk=chunk: self._build.make_i(
-                        [candidate.path for candidate in chunk],
-                        host, host_config),
-                    arch=host, config_target="allyesconfig",
-                    paths=tuple(candidate.path for candidate in chunk),
-                    deps=(host_config_unit.unit_id,))
-                results = yield preprocess_unit
+                results = self._build.make_i(
+                    [candidate.path for candidate in chunk], host,
+                    host_config)
                 for candidate, result in zip(chunk, results):
                     attempt = ArchAttempt(arch=host,
                                           config_target="allyesconfig")
@@ -200,28 +169,15 @@ class HFileProcessor:
                         continue
                     attempt.i_ok = True
                     saw_i = True
-                    i_text = result.i_text or ""
-
-                    def grep(candidate=candidate, i_text=i_text):
-                        with self._tracer.span(
-                                "grep.tokens",
-                                path=candidate.path) as grep_span:
-                            found_now = {token for token in tokens
-                                         if token in i_text}
-                            grep_span.set("found", len(found_now))
-                        return found_now
-
-                    grep_unit = dag.new_unit(
-                        STAGE_GREP, grep, paths=(candidate.path,),
-                        deps=(preprocess_unit.unit_id,))
-                    found_now = yield grep_unit
+                    found_now = self._grep(candidate, tokens,
+                                           result.i_text or "")
                     attempt.tokens_found = found_now
                     if not found_now - found:
                         continue
                     compilations += 1
-                    certified = yield make_certify_unit(
-                        dag, self._build, overlay, candidate.path, host,
-                        host_config, deps=(grep_unit.unit_id,))
+                    certified = try_certify(self._build, overlay,
+                                            candidate.path, host,
+                                            host_config)
                     if certified is True:
                         attempt.o_ok = True
                         found |= found_now
@@ -251,53 +207,31 @@ class HFileProcessor:
                     config_target=config_candidate.config_target)
                 attempts.append(attempt)
                 self._metrics.counter("arch.attempts").inc()
-                config_unit = make_config_unit(
-                    dag, self._build, config_candidate.arch,
-                    config_candidate.config_target, deps=deps)
-                config = yield config_unit
-                if isinstance(config, UnitFailure):
+                config = try_make_config(self._build,
+                                         config_candidate.arch,
+                                         config_candidate.config_target)
+                if isinstance(config, StepFailure):
                     attempt.error = config.error
                     continue
-                preprocess_unit = dag.new_unit(
-                    STAGE_PREPROCESS,
-                    lambda config=config, candidate=candidate:
-                        self._build.make_i([candidate.path],
-                                           config_candidate.arch, config),
-                    arch=config_candidate.arch,
-                    config_target=config_candidate.config_target,
-                    paths=(candidate.path,),
-                    deps=(config_unit.unit_id,))
-                results = yield preprocess_unit
-                result = results[0]
+                result = self._build.make_i([candidate.path],
+                                            config_candidate.arch,
+                                            config)[0]
                 if not result.ok:
                     attempt.error = result.error
                     continue
                 attempt.i_ok = True
                 saw_i = True
-                i_text = result.i_text or ""
-
-                def grep(candidate=candidate, i_text=i_text):
-                    with self._tracer.span("grep.tokens",
-                                           path=candidate.path) as grep_span:
-                        found_now = {token for token in tokens
-                                     if token in i_text}
-                        grep_span.set("found", len(found_now))
-                    return found_now
-
-                grep_unit = dag.new_unit(
-                    STAGE_GREP, grep, paths=(candidate.path,),
-                    deps=(preprocess_unit.unit_id,))
-                found_now = yield grep_unit
+                found_now = self._grep(candidate, tokens,
+                                       result.i_text or "")
                 attempt.tokens_found = found_now
                 if not found_now - found:
                     continue
                 compilations += 1
                 # Certify: the candidate must compile against the fully
                 # unmutated tree.
-                certified = yield make_certify_unit(
-                    dag, self._build, overlay, candidate.path,
-                    config_candidate.arch, config,
-                    deps=(grep_unit.unit_id,))
+                certified = try_certify(self._build, overlay,
+                                        candidate.path,
+                                        config_candidate.arch, config)
                 if certified is True:
                     attempt.o_ok = True
                     attempt.tokens_found = found_now
@@ -327,6 +261,15 @@ class HFileProcessor:
             macro_hints=list(plan.macro_hints),
             candidate_compilations=compilations,
         )
+
+    def _grep(self, candidate: CandidateCFile, tokens: set[str],
+              i_text: str) -> set[str]:
+        """The header tokens one candidate's ``.i`` surfaced."""
+        with self._tracer.span("grep.tokens",
+                               path=candidate.path) as grep_span:
+            found_now = {token for token in tokens if token in i_text}
+            grep_span.set("found", len(found_now))
+        return found_now
 
 
 def _arch_of(path: str) -> str | None:

@@ -16,13 +16,9 @@ the worktree (``git clean -dfx`` / ``git reset --hard``), check out the
 commit's snapshot, extract the changed lines, mutate, and drive the
 compile checks. ``check_patch`` is the lower-level entry for a worktree
 the caller already holds; :meth:`CheckSession.worktree_for_files`
-builds a throwaway single-commit worktree for VCS-less use.
-
-Both entry points are thin drivers over ``iter_check_commit`` /
-``iter_check_patch`` — generators that yield
-:class:`~repro.core.units.WorkUnit` steps. The sequential wrappers run
-every unit inline; the check service (:mod:`repro.service`) feeds the
-same generators to per-architecture shard workers.
+builds a throwaway single-commit worktree for VCS-less use. Every
+driver — sequential, the fork pool, and each check-service transport —
+calls ``check_commit`` once per commit.
 """
 
 from __future__ import annotations
@@ -40,7 +36,6 @@ from repro.core.mutation import (
     MutationPlan,
 )
 from repro.core.report import FileReport, FileStatus, PatchReport
-from repro.core.units import STAGE_MUTATE, UnitDag, UnitGenerator, run_units
 from repro.faults.inject import FaultInjector, NULL_INJECTOR
 from repro.faults.plan import FaultPlan
 from repro.faults.resilience import RetryPolicy
@@ -159,29 +154,8 @@ class CheckSession:
     def check_commit(self, repository: Repository,
                      commit: "Commit | str") -> PatchReport:
         """Check one commit: checkout, diff against parent, verify."""
-        return run_units(self.iter_check_commit(repository, commit))
-
-    def check_patch(self, worktree: Worktree, patch: Patch,
-                    commit_id: str | None = None) -> PatchReport:
-        """Check a patch against an already-checked-out worktree.
-
-        The worktree must hold the *post-patch* state (the paper checks
-        out "the snapshot of the source code resulting from applying the
-        patch").
-        """
-        return run_units(self.iter_check_patch(worktree, patch,
-                                               commit_id=commit_id))
-
-    # -- unit-yielding pipelines -----------------------------------------------
-
-    def iter_check_commit(self, repository: Repository,
-                          commit: "Commit | str",
-                          dag: UnitDag | None = None) -> UnitGenerator:
-        """The unit-yielding form of :meth:`check_commit`."""
         if isinstance(commit, str):
             commit = repository.resolve(commit)
-        if dag is None:
-            dag = UnitDag(request_id=commit.id)
         with self.tracer.span("jmake.check_commit",
                               commit=commit.id) as span:
             with self.tracer.span("worktree.prepare"):
@@ -196,8 +170,8 @@ class CheckSession:
                 # diff; entries stay resident (they revive when content
                 # recurs).
                 self.cache.on_commit(patch.paths())
-            report = yield from self.iter_check_patch(
-                worktree, patch, commit_id=commit.id, dag=dag)
+            report = self.check_patch(worktree, patch,
+                                      commit_id=commit.id)
             # Commit-resolving checks know who wrote the patch; stamp
             # the identity so fleet-mode ingest can feed the §IV
             # janitor materialized view without a second VCS pass.
@@ -209,12 +183,14 @@ class CheckSession:
                           len(report.file_reports))
             return report
 
-    def iter_check_patch(self, worktree: Worktree, patch: Patch,
-                         commit_id: str | None = None,
-                         dag: UnitDag | None = None) -> UnitGenerator:
-        """The unit-yielding form of :meth:`check_patch`."""
-        if dag is None:
-            dag = UnitDag(request_id=commit_id or "<patch>")
+    def check_patch(self, worktree: Worktree, patch: Patch,
+                    commit_id: str | None = None) -> PatchReport:
+        """Check a patch against an already-checked-out worktree.
+
+        The worktree must hold the *post-patch* state (the paper checks
+        out "the snapshot of the source code resulting from applying the
+        patch").
+        """
         clock_start = self.clock.span_count
         # New commit, fresh fault scope: attempt counters and pending
         # reports reset so decisions cannot leak across commits (or
@@ -232,52 +208,43 @@ class CheckSession:
                 tracer=self.tracer, metrics=self.metrics)
 
             report = PatchReport(commit_id=commit_id)
+            with self.tracer.span("patch.extract_changes") as extract_span:
+                changed = extract_changed_files(
+                    patch, new_texts={path: worktree.read(path)
+                                      for path in patch.paths()
+                                      if worktree.exists(path)})
+                extract_span.set("files", len(changed))
 
-            def mutate():
-                with self.tracer.span(
-                        "patch.extract_changes") as extract_span:
-                    changed = extract_changed_files(
-                        patch, new_texts={path: worktree.read(path)
-                                          for path in patch.paths()
-                                          if worktree.exists(path)})
-                    extract_span.set("files", len(changed))
+            c_plans: list[MutationPlan] = []
+            h_plans: list[MutationPlan] = []
+            for record in changed:
+                if record.path in self._bootstrap:
+                    report.file_reports[record.path] = FileReport(
+                        path=record.path,
+                        status=FileStatus.BOOTSTRAP_UNTREATABLE)
+                    continue
+                if not worktree.exists(record.path):
+                    continue
+                with self.tracer.span("mutation.plan",
+                                      path=record.path) as plan_span:
+                    plan = self._engine.plan(
+                        record.path, worktree.read(record.path),
+                        record.changed_lines)
+                    plan_span.set("tokens", len(plan.mutations))
+                if plan.mutations:
+                    self.metrics.counter("files.mutated").inc()
+                    self.metrics.counter("tokens.placed").inc(
+                        len(plan.mutations))
+                if record.is_c:
+                    c_plans.append(plan)
+                else:
+                    h_plans.append(plan)
 
-                c_plans: list[MutationPlan] = []
-                h_plans: list[MutationPlan] = []
-                for record in changed:
-                    if record.path in self._bootstrap:
-                        report.file_reports[record.path] = FileReport(
-                            path=record.path,
-                            status=FileStatus.BOOTSTRAP_UNTREATABLE)
-                        continue
-                    if not worktree.exists(record.path):
-                        continue
-                    with self.tracer.span("mutation.plan",
-                                          path=record.path) as plan_span:
-                        plan = self._engine.plan(
-                            record.path, worktree.read(record.path),
-                            record.changed_lines)
-                        plan_span.set("tokens", len(plan.mutations))
-                    if plan.mutations:
-                        self.metrics.counter("files.mutated").inc()
-                        self.metrics.counter("tokens.placed").inc(
-                            len(plan.mutations))
-                    if record.is_c:
-                        c_plans.append(plan)
-                    else:
-                        h_plans.append(plan)
-
-                # Apply all mutated texts to the overlay before any .i
-                # run; the same overlay object lets the processors flip
-                # to the clean tree for every certification .o build.
-                overlay = MutationOverlay(worktree, c_plans + h_plans)
-                overlay.apply_all()
-                return c_plans, h_plans, overlay
-
-            mutate_unit = dag.new_unit(STAGE_MUTATE, mutate,
-                                       paths=tuple(patch.paths()))
-            c_plans, h_plans, overlay = yield mutate_unit
-            deps = (mutate_unit.unit_id,)
+            # Apply all mutated texts to the overlay before any .i run;
+            # the same overlay object lets the processors flip to the
+            # clean tree for every certification .o build.
+            overlay = MutationOverlay(worktree, c_plans + h_plans)
+            overlay.apply_all()
 
             cfile = CFileProcessor(
                 build, selector,
@@ -287,9 +254,8 @@ class CheckSession:
                 tracer=self.tracer, metrics=self.metrics)
             with self.tracer.span("cfile.process",
                                   files=len(c_plans)) as cfile_span:
-                outcome = yield from cfile.iter_process(
-                    worktree, c_plans, h_plans, overlay=overlay,
-                    dag=dag, deps=deps)
+                outcome = cfile.process(worktree, c_plans, h_plans,
+                                        overlay=overlay)
                 cfile_span.set("header_tokens_found",
                                len(outcome.header_tokens_found))
             report.file_reports.update(outcome.reports)
@@ -303,9 +269,9 @@ class CheckSession:
             for plan in h_plans:
                 with self.tracer.span("hfile.process",
                                       path=plan.path) as hfile_span:
-                    file_report = yield from hfile.iter_process(
+                    file_report = hfile.process(
                         worktree, plan, outcome.header_tokens_found,
-                        overlay=overlay, dag=dag, deps=deps)
+                        overlay=overlay)
                     hfile_span.set("status", file_report.status.value)
                 report.file_reports[plan.path] = file_report
 

@@ -15,7 +15,7 @@ For each physical line of a file, determine (§III-B):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 from repro.util.text import split_lines_keepends

@@ -8,9 +8,8 @@ Three observations drive the substrate fast path (DESIGN.md §8):
    preprocessor redoes them for every include of every translation
    unit. :class:`PreparedFile` performs that work once per distinct
    content and shares it process-wide: across the files of one TU,
-   across the TUs of one batch (the ≤50-file groups the service's
-   CrossRequestBatcher coalesces), and across requests in a warm
-   service.
+   across the TUs of one ≤50-file ``make`` batch, and across requests
+   in a warm service or worker process.
 
 2. A *leaf* file — one whose prepared form contains no ``#include``
    directive — interacts with the rest of the build only through the

@@ -102,38 +102,28 @@ class ServiceOverloadedError(ServiceError):
 
     Carries structured context so callers can distinguish overload from
     other submit failures and log something actionable: the admission
-    ``queue_depth`` at rejection time, the configured ``limit``, and the
-    ``shard_id`` of the deepest shard queue (None before the pool
-    starts).
+    ``queue_depth`` at rejection time and the configured ``limit``.
     """
 
     def __init__(self, message: str, *,
                  queue_depth: int = 0,
-                 limit: int = 0,
-                 shard_id: "int | None" = None) -> None:
+                 limit: int = 0) -> None:
         super().__init__(message)
         self.queue_depth = queue_depth
         self.limit = limit
-        self.shard_id = shard_id
 
 
 class ServiceDrainingError(ServiceError):
     """Raised when a request arrives after shutdown/drain began."""
 
 
-class WorkerCrashError(ServiceError):
-    """Raised inside a shard worker when an injected ``worker_crash``
-    fault kills it; the supervisor treats the dead task as a crashed
-    worker process."""
-
-
 class TransportError(ServiceError):
-    """Base class for shard-transport failures (worker processes,
+    """Base class for transport failures (worker processes,
     sockets, framing above the journal layer)."""
 
 
 class WorkerLostError(TransportError):
-    """Raised when a remote shard worker dies or its connection drops
+    """Raised when a remote worker dies or its connection drops
     while work is in flight. Carries the worker index and how many
     assignments were requeued so supervision tests can assert on the
     recovery path.

@@ -326,7 +326,7 @@ class EvaluationSession:
     def run(self, *, limit: int | None = None,
             use_ground_truth_janitors: bool = False,
             jobs: int = 1,
-            service: "bool | int | object" = False,
+            service: "bool | object" = False,
             journal: str | None = None,
             resume: bool = False,
             journal_fsync: bool = True,
@@ -339,10 +339,10 @@ class EvaluationSession:
         results are identical to the serial run because every check is
         a pure function of (corpus, commit).
 
-        ``service`` routes the commits through an in-process sharded
+        ``service`` routes the commits through a
         :class:`~repro.service.service.CheckService` instead — ``True``
-        for the default config, an int for a shard count, or a full
-        ``ServiceConfig``. Verdict-bearing records are byte-identical
+        for the default config, or a full ``ServiceConfig``.
+        Verdict-bearing records are byte-identical
         to the sequential path (the differential suite pins this);
         span trees/metrics are not collected in service mode.
 
@@ -504,17 +504,19 @@ class EvaluationSession:
         substrate; per-request sessions keep verdicts byte-identical to
         the sequential path. ``on_report`` fires per commit in
         submission order as results land (journaling incrementally);
-        returns the service's scheduling stats (supervisor/breaker
+        returns the service's stats (worker supervision and breaker
         state included).
         """
         from repro.service.service import CheckService, ServiceConfig
 
-        if isinstance(service, ServiceConfig):
-            config = service
-        elif service is True:
+        if service is True:
             config = ServiceConfig()
+        elif isinstance(service, ServiceConfig):
+            config = service
         else:
-            config = ServiceConfig(shards=int(service))
+            raise TypeError(
+                f"service must be True or a ServiceConfig, "
+                f"got {service!r}")
         if config.fault_plan is None:
             config.fault_plan = self.fault_plan
         if config.retry_policy is None:

@@ -7,7 +7,7 @@ tests can assert on the numbers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.core.report import FileStatus
 from repro.evalsuite.runner import EvaluationResult

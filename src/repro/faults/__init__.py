@@ -21,6 +21,6 @@ identity, attempt number), so an injected run is exactly reproducible
 across ``--jobs`` values, cache on/off, and observability on/off.
 Process-level kinds (``worker_crash``, ``worker_hang``,
 ``torn_journal_write``) extend the same determinism to kill/restart
-cycles: they are keyed by (shard, pickup sequence) or (journal,
+cycles: they are keyed by (worker slot, pickup sequence) or (journal,
 append sequence), never by wall-clock time.
 """

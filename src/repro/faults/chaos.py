@@ -42,7 +42,7 @@ def transport_chaos_plan(seed: object, *, kill_rate: float = 0.0,
                          slow_rate: float = 0.0,
                          half_open_rate: float = 0.0,
                          times: int | None = None) -> FaultPlan:
-    """A fault plan aimed at remote shard workers.
+    """A fault plan aimed at remote workers.
 
     ``worker_kill`` hard-kills the child at assignment pickup,
     ``socket_drop`` severs its connection mid-stream, ``worker_hang``

@@ -50,11 +50,11 @@ KIND_IO_ERROR = "io_error"
 
 # -- process-level fault kinds (PR 5 chaos vocabulary) ----------------------
 
-#: a shard worker dies at job pickup (OOM kill, segfault, host loss);
-#: the claimed unit never ran and must be requeued by the supervisor
+#: a worker process dies at assignment pickup (OOM kill, segfault,
+#: host loss); the claimed assignment never ran and must be requeued
 KIND_WORKER_CRASH = "worker_crash"
-#: a shard worker stalls holding its claimed unit (livelock, NFS hang)
-#: until the supervisor's hang deadline expires
+#: a worker process stalls holding its claimed assignment (livelock,
+#: NFS hang) until the supervisor's hang deadline expires
 KIND_WORKER_HANG = "worker_hang"
 #: a journal append is cut short mid-frame (power loss, full disk) —
 #: replay must truncate the torn tail and continue
@@ -62,12 +62,12 @@ KIND_TORN_JOURNAL_WRITE = "torn_journal_write"
 
 # -- transport-level fault kinds (PR 8 chaos vocabulary) --------------------
 
-#: a remote shard worker process is hard-killed (SIGKILL, OOM) after
+#: a remote worker process is hard-killed (SIGKILL, OOM) after
 #: claiming an assignment; the transport monitor must detect the dead
 #: child and requeue the in-flight work
 KIND_WORKER_KILL = "worker_kill"
 #: a worker's connection drops mid-stream (peer reset, half-close);
-#: a dropped socket is just another shard crash to the supervisor
+#: a dropped socket is just another worker crash to the supervisor
 KIND_SOCKET_DROP = "socket_drop"
 
 # -- network-level fault kinds (PR 10 fleet chaos vocabulary) ----------------
@@ -93,7 +93,8 @@ SITE_PREPROCESS = "preprocess"    # BuildSystem.make_i, per file
 SITE_COMPILE = "compile"          # BuildSystem.make_o
 SITE_CACHE_LOAD = "cache_load"    # BuildCache probes + BuildCache.load
 SITE_CACHE_STORE = "cache_store"  # BuildCache stores + BuildCache.save
-SITE_WORKER = "worker"            # shard worker job pickup
+SITE_WORKER = "worker"            # worker process assignment pickup
+                                  # (mp and socket transports only)
 SITE_JOURNAL_APPEND = "journal_append"  # Journal.append frame write
 
 INJECTION_SITES = (SITE_CONFIG, SITE_PREPROCESS, SITE_COMPILE,

@@ -112,22 +112,3 @@ class Quarantine:
         """Clear all strikes and benched architectures (new commit)."""
         self._strikes.clear()
         self._reasons.clear()
-
-    def merge(self, other: "Quarantine") -> None:
-        """Fold another quarantine's strikes/benchings into this one.
-
-        Verdict-affecting quarantine stays commit-scoped (one
-        :class:`Quarantine` per BuildSystem, i.e. per patch); the check
-        service merges each request's quarantine into a per-shard
-        aggregate purely as an operational view — which architectures
-        are flaking across traffic — never feeding it back into
-        verdicts.
-        """
-        for arch, strikes in other._strikes.items():
-            self._strikes[arch] = self._strikes.get(arch, 0) + strikes
-        for arch, reason in other._reasons.items():
-            self._reasons.setdefault(arch, reason)
-
-    def note(self, arch: str, reason: str) -> None:
-        """Directly bench one arch (ops aggregation, no strike logic)."""
-        self._reasons.setdefault(arch, reason)

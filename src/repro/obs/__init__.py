@@ -14,7 +14,7 @@ Three layers, all optional and all no-op-cheap when disabled:
   and percentile summaries;
 - :mod:`repro.obs.sinks` — OpenMetrics exposition, append-only JSONL
   with journal-style dedup, and in-process callback sinks;
-- :mod:`repro.obs.events` — the typed structured-event log (shard
+- :mod:`repro.obs.events` — the typed structured-event log (worker
   crashes, breaker opens, rejections, quarantine trips, ...);
   :data:`NULL_EVENTS` when off;
 - :mod:`repro.obs.logcfg` — the ``repro.*`` logger hierarchy behind the

@@ -1,7 +1,7 @@
 """Typed structured events: the operational transitions log lines hide.
 
 A long-running ``jmake serve`` has state changes that matter to an
-operator — a shard worker crashed and was restarted, a circuit breaker
+operator — a worker process crashed and was restarted, a circuit breaker
 opened, admission control rejected a request, an architecture tripped
 quarantine, the journal truncated a torn tail — and before this module
 every one of them was a log line: unstructured, unqueryable, and gone
@@ -73,11 +73,12 @@ EVENT_STORE_COMPACTED = "store.compacted"
 
 #: well-known event kinds (kind -> meaning); documentation, not an ACL
 EVENT_KINDS = {
-    EVENT_SHARD_CRASH: "a shard worker task died with an exception",
-    EVENT_SHARD_HANG: "a shard worker held its claim past the deadline",
-    EVENT_SHARD_RESTART: "the supervisor restarted a shard worker",
-    EVENT_SHARD_BREAKER_OPEN: "a shard circuit breaker opened (terminal)",
-    EVENT_SHARD_INLINE_DRAIN: "a broken shard's queue was drained inline",
+    EVENT_SHARD_CRASH: "a worker died or dropped mid-assignment",
+    EVENT_SHARD_HANG: "a worker held its claim past the deadline",
+    EVENT_SHARD_RESTART: "the supervisor restarted a worker",
+    EVENT_SHARD_BREAKER_OPEN: "a worker circuit breaker opened (terminal)",
+    EVENT_SHARD_INLINE_DRAIN: "the coordinator checked an assignment "
+                              "inline (every breaker open)",
     EVENT_SERVICE_REJECTED: "admission control rejected a request",
     EVENT_SERVICE_STARTED: "the check service started its workers",
     EVENT_SERVICE_DRAINED: "the check service drained cleanly",
@@ -85,8 +86,8 @@ EVENT_KINDS = {
     EVENT_JOURNAL_TRUNCATED: "journal recovery truncated a torn tail",
     EVENT_JOURNAL_CHECKPOINT: "the verdict ledger wrote a checkpoint",
     EVENT_CACHE_LOAD_ERROR: "a cache pickle load fell back to empty",
-    EVENT_WORKER_SPAWNED: "a remote transport spawned a shard worker",
-    EVENT_WORKER_EXIT: "a remote shard worker exited or was reaped",
+    EVENT_WORKER_SPAWNED: "a remote transport spawned a worker",
+    EVENT_WORKER_EXIT: "a remote worker exited or was reaped",
     EVENT_WORKER_REQUEUE: "in-flight work was requeued off a dead worker",
     EVENT_INGEST_BATCH: "a journal batch was ingested into the store",
     EVENT_INGEST_SCHEMA_ERROR: "a record failed migration during ingest",

@@ -22,7 +22,6 @@ terminal reading is not a stability surface.
 
 from __future__ import annotations
 
-import json
 from typing import Any, Iterable
 
 #: span-tree dict keys the chrome exporter does not copy into args

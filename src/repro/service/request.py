@@ -4,7 +4,7 @@ These are part of the stable ``repro.api`` surface: a
 :class:`CheckRequest` names a commit (plus per-request option
 overrides), a :class:`CheckResult` carries the verdict-bearing
 :class:`~repro.core.report.PatchReport`, its canonical serialized
-record (with ``schema_version``), and scheduling telemetry.
+record (with ``schema_version``), and the simulated seconds it took.
 """
 
 from __future__ import annotations
@@ -40,8 +40,6 @@ class CheckResult:
     record: dict = field(default_factory=dict)
     #: simulated seconds the check charged to its own clock
     elapsed_sim_seconds: float = 0.0
-    #: units executed per stage for this request's DAG
-    stage_counts: dict[str, int] = field(default_factory=dict)
 
     @property
     def verdict(self) -> str:

@@ -8,9 +8,7 @@ own FaultInjector scope, own BuildSystem and quarantine).
 
 *Where* a request executes is the transport's business
 (:mod:`repro.service.transport`): the default ``asyncio`` transport
-drives the session's unit generator on this loop — request-local
-stages inline, preprocess units through the cross-request batcher,
-config/certify units on the owning arch shard — while the ``mp`` and
+checks each request whole on this loop, while the ``mp`` and
 ``socket`` transports ship whole commit assignments to warm worker
 processes over the wire codec. Every check is a pure function of
 (corpus, commit), so the differential suite pins all three transports
@@ -29,7 +27,7 @@ from __future__ import annotations
 import asyncio
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.buildcache.cache import BuildCache
 from repro.core.jmake import CheckSession, JMakeOptions
@@ -49,13 +47,13 @@ from repro.obs.logcfg import get_logger
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import NULL_TRACER
 from repro.service.request import CheckRequest, CheckResult
-from repro.service.supervisor import SupervisorConfig
 from repro.service.transport.base import (
     TRANSPORT_KINDS,
     create_transport,
     track_live,
     untrack_live,
 )
+from repro.service.transport.remote import SupervisorConfig
 from repro.util.validate import validate_jobs
 from repro.workload.corpus import Corpus
 
@@ -75,21 +73,12 @@ _WALL_LATENCY_BUCKETS = (0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1.0, 5.0,
 class ServiceConfig:
     """Tunables of one :class:`CheckService`."""
 
-    #: shard workers; every architecture maps to exactly one shard
-    shards: int = 2
-    #: max file occupancy per coalesced preprocess invocation (§III-D)
-    batch_limit: int = 50
-    #: real seconds a batch group waits for co-batchable units
-    #: (0 = whatever arrives in the same event-loop tick)
-    batch_window_seconds: float = 0.0
     #: admission control: requests admitted concurrently
     max_pending_requests: int = 64
-    #: bounded per-shard unit queue (put() backpressure beyond this)
-    shard_queue_limit: int = 128
     #: fault plan applied per request (same semantics as sequential)
     fault_plan: "FaultPlan | None" = None
     retry_policy: "RetryPolicy | None" = None
-    #: optional tracer for service-level spans (unit/batch execution)
+    #: optional tracer for the per-request ``service.request`` span
     tracer: object = None
     #: optional structured-event log (:class:`repro.obs.events.
     #: EventLog`); None -> NULL_EVENTS, zero overhead
@@ -98,18 +87,15 @@ class ServiceConfig:
     #: timeseries.Snapshotter`); started/stopped with the service when
     #: it carries an interval, sampled once at drain either way
     snapshotter: object = None
-    #: run the shard supervisor (crash/hang detection, restarts,
-    #: circuit breaking); off only for tests that want a bare pool
-    supervise: bool = True
-    #: supervisor tunables (None -> SupervisorConfig defaults; remote
-    #: transports substitute a remote-scale hang deadline when unset)
+    #: remote transports: worker supervision tunables (None ->
+    #: SupervisorConfig defaults)
     supervisor: "SupervisorConfig | None" = None
-    #: execution backend: "asyncio" (in-process shard pool), "mp"
-    #: (warm worker processes over pipes), or "socket" (warm workers
-    #: over the CRC32-framed localhost protocol)
+    #: execution backend: "asyncio" (checks on this process's loop),
+    #: "mp" (warm worker processes over pipes), or "socket" (warm
+    #: workers over the CRC32-framed localhost protocol)
     transport: str = "asyncio"
-    #: worker processes for remote transports (None -> ``shards``)
-    jobs: "int | None" = None
+    #: worker processes for remote transports
+    jobs: int = 2
     #: multiprocessing start method for remote transports; None reads
     #: JMAKE_START_METHOD from the environment (default "fork"), which
     #: is how CI runs the whole transport surface under ``spawn``
@@ -139,7 +125,7 @@ class ServiceConfig:
     hello_timeout_seconds: "float | None" = None
 
     def __post_init__(self) -> None:
-        self.shards = validate_jobs(self.shards, what="shards")
+        self.jobs = validate_jobs(self.jobs, what="jobs")
         if self.start_method is None:
             self.start_method = os.environ.get(
                 "JMAKE_START_METHOD", "fork")
@@ -147,24 +133,14 @@ class ServiceConfig:
             raise ValueError(
                 f"unknown transport {self.transport!r} "
                 f"(known: {', '.join(TRANSPORT_KINDS)})")
-        if self.jobs is not None:
-            self.jobs = validate_jobs(self.jobs, what="jobs")
         if self.start_method not in START_METHODS:
             raise ValueError(
                 f"unknown start method {self.start_method!r} "
                 f"(known: {', '.join(START_METHODS)})")
-        if self.batch_limit < 1:
-            raise ValueError(
-                f"batch_limit must be a positive integer, "
-                f"got {self.batch_limit}")
         if self.max_pending_requests < 1:
             raise ValueError(
                 f"max_pending_requests must be a positive integer, "
                 f"got {self.max_pending_requests}")
-        if self.shard_queue_limit < 1:
-            raise ValueError(
-                f"shard_queue_limit must be a positive integer, "
-                f"got {self.shard_queue_limit}")
         if self.transport != "socket":
             if self.listen is not None:
                 raise ValueError(
@@ -202,7 +178,7 @@ class ServiceConfig:
 
 
 class CheckService:
-    """A long-lived, sharded, batching check service over one corpus."""
+    """A long-lived check service over one corpus."""
 
     def __init__(self, corpus: Corpus, *,
                  options: JMakeOptions | None = None,
@@ -234,9 +210,9 @@ class CheckService:
             self.cache.pin_injector(pinned)
         #: the execution backend (built at start())
         self.transport = None
-        self._pool = None
-        self._batcher = None
-        self._supervisor = None
+        #: ops view of arch flakiness across requests (never verdicts):
+        #: every architecture some request quarantined
+        self._quarantined: set[str] = set()
         self._admission: "asyncio.Semaphore | None" = None
         self._requests: set = set()
         self._started = False
@@ -253,11 +229,6 @@ class CheckService:
         self.transport = create_transport(self, self.config.transport)
         await self.transport.start()
         track_live(self.transport)
-        # back-compat views for the in-process backend (stats/tests
-        # reach for the pool/batcher/supervisor directly)
-        self._pool = getattr(self.transport, "pool", None)
-        self._batcher = getattr(self.transport, "batcher", None)
-        self._supervisor = getattr(self.transport, "supervisor", None)
         self._admission = asyncio.Semaphore(
             self.config.max_pending_requests)
         if self.snapshotter is not None and \
@@ -266,21 +237,17 @@ class CheckService:
         self._started = True
         self._draining = False
         self.events.emit(EVENT_SERVICE_STARTED,
-                         shards=self.config.shards,
-                         batch_limit=self.config.batch_limit,
                          transport=self.config.transport,
-                         supervised=self._supervisor is not None
-                         or self.config.transport != "asyncio")
-        _logger.info("service started: transport=%s shards=%d "
-                     "batch_limit=%d", self.config.transport,
-                     self.config.shards, self.config.batch_limit)
+                         jobs=self.config.jobs)
+        _logger.info("service started: transport=%s jobs=%d",
+                     self.config.transport, self.config.jobs)
 
     async def drain(self) -> None:
         """Graceful shutdown: finish in-flight work, stop workers."""
         if not self._started:
             return
         self._draining = True
-        # in-flight request coroutines first (they stop producing units)
+        # in-flight request coroutines first, then the workers
         while self._requests:
             await asyncio.gather(*list(self._requests),
                                  return_exceptions=True)
@@ -317,9 +284,6 @@ class CheckService:
         self._admit(request)
         if self._admission.locked():
             self.metrics.counter("service.rejected").inc()
-            deepest = max(self._pool.shards,
-                          key=lambda shard: shard.queue.qsize()) \
-                if self._pool is not None else None
             self.events.emit(
                 EVENT_SERVICE_REJECTED,
                 request_id=request.request_id,
@@ -329,8 +293,7 @@ class CheckService:
                 f"admission queue full "
                 f"({self.config.max_pending_requests} in flight)",
                 queue_depth=len(self._requests),
-                limit=self.config.max_pending_requests,
-                shard_id=deepest.index if deepest is not None else None)
+                limit=self.config.max_pending_requests)
         return asyncio.get_running_loop().create_task(
             self._run_admitted(request))
 
@@ -367,6 +330,7 @@ class CheckService:
                               commit=request.commit_id):
             outcome = await self.transport.run_request(request)
         report = outcome.report
+        self._quarantined.update(outcome.quarantine)
         for arch, reason in outcome.quarantine.items():
             self.metrics.counter("service.quarantine.trips").inc()
             self.events.emit(EVENT_QUARANTINE_TRIP,
@@ -389,7 +353,6 @@ class CheckService:
             report=report,
             record=report.to_dict(),
             elapsed_sim_seconds=report.elapsed_seconds,
-            stage_counts=outcome.stage_counts,
         )
 
     # -- conveniences ----------------------------------------------------------
@@ -428,7 +391,7 @@ class CheckService:
         return asyncio.run(main())
 
     def health(self) -> dict:
-        """Live/ready/degraded, derived from supervisor + queue state.
+        """Live/ready/degraded, derived from worker + admission state.
 
         ``status`` is ``ok`` (started, everything healthy),
         ``degraded`` (serving, but a breaker is open or an arch is
@@ -437,11 +400,9 @@ class CheckService:
         started). ``ready`` is the load-balancer admission signal:
         True exactly when a new submit() would be accepted.
         """
-        if self.transport is not None:
-            breakers = self.transport.breaker_open_workers()
-            quarantined = self.transport.quarantined_archs()
-        else:
-            breakers, quarantined = [], []
+        breakers = self.transport.breaker_open_workers() \
+            if self.transport is not None else []
+        quarantined = sorted(self._quarantined)
         if not self._started:
             status = "down"
         elif self._draining:
@@ -462,7 +423,7 @@ class CheckService:
         }
 
     def stats(self) -> dict:
-        """Scheduling telemetry: shards, batcher, admission, health."""
+        """Service telemetry: workers, admission, health."""
         return {
             "started": self._started,
             "draining": self._draining,
@@ -471,13 +432,11 @@ class CheckService:
             "requests_in_flight": len(self._requests),
             "transport": {
                 "kind": self.config.transport,
-                "jobs": self.config.jobs or self.config.shards,
+                "jobs": self.config.jobs,
                 "start_method": self.config.start_method,
             },
             "shards": self.transport.shard_stats()
             if self.transport is not None else [],
-            "batcher": self.transport.batcher_stats()
-            if self.transport is not None else {},
             "supervisor": self.transport.supervisor_stats()
             if self.transport is not None else {},
             "events": self.events.stats(),
@@ -485,7 +444,7 @@ class CheckService:
             if self.snapshotter is not None else None,
             "cache": None if self.cache is None
             else self.cache.stats_snapshot().render(),
-            # process-local view: forked shard workers keep their own
+            # process-local view: worker processes keep their own
             # substrate counters, this reports the coordinator's
             "substrate": prepared.stats_snapshot(),
         }

@@ -6,19 +6,17 @@ processes, or socket peers — behind a uniform request-granularity
 interface. The service keeps admission control, accounting, and the
 public API; the transport decides *where* the pipeline runs:
 
-- ``asyncio`` (:mod:`.local`): the in-process shard pool + cross-
-  request batcher + ShardSupervisor, exactly the pre-transport
-  behavior;
+- ``asyncio`` (:mod:`.local`): each request checked whole on the
+  service's own loop by :func:`run_inline`;
 - ``mp`` (:mod:`.mp`): a pool of warm worker processes fed over
   ``multiprocessing`` pipes with wire-codec frames;
 - ``socket`` (:mod:`.sock`): the same warm workers connected back over
   a localhost TCP socket speaking the length-prefixed CRC32 protocol.
 
-Request granularity is deliberate: unit thunks are closures over
-session state and cannot cross a process boundary, but every check is
-a pure function of (corpus, commit) — the invariant the differential
-suite enforces — so shipping whole commit assignments preserves
-byte-identical verdicts regardless of where they execute.
+Every transport runs a request whole, one ``CheckSession.check_commit``
+call, like the sequential driver. Every check is a pure function of
+(corpus, commit) — the invariant the differential suite enforces — so
+verdicts are byte-identical regardless of where they execute.
 
 The module also keeps a registry of live transports
 (:func:`live_transports`) so the test suite's leak check can assert
@@ -67,9 +65,25 @@ class TransportOutcome:
     """
 
     report: object
-    stage_counts: dict = field(default_factory=dict)
     quarantine: dict = field(default_factory=dict)
     worker_id: int = -1
+
+
+def run_inline(service, request) -> TransportOutcome:
+    """Check one request whole in this process.
+
+    The asyncio transport runs every request this way; the remote
+    transports fall back to it once every worker's breaker is open.
+    """
+    session = service._make_session(request)
+    repository = service.corpus.repository
+    report = session.check_commit(repository,
+                                  repository.resolve(request.commit_id))
+    quarantine = session.last_build.quarantine
+    return TransportOutcome(
+        report=report,
+        quarantine={arch: quarantine.reason(arch)
+                    for arch in quarantine.archs()})
 
 
 class Transport:
@@ -101,20 +115,12 @@ class Transport:
         """Per-worker stats dicts, in worker order."""
         return []
 
-    def batcher_stats(self) -> dict:
-        """Cross-request batcher stats ({} when not applicable)."""
-        return {}
-
     def supervisor_stats(self) -> dict:
-        """Supervision counters in the ShardSupervisor stats shape."""
+        """Worker supervision counters ({} without workers)."""
         return {}
 
     def breaker_open_workers(self) -> list:
         """Indices of workers whose circuit breaker is open."""
-        return []
-
-    def quarantined_archs(self) -> list:
-        """Architectures quarantined in the transport's ops view."""
         return []
 
 

@@ -5,30 +5,28 @@ have in common: warm worker slots, wire-frame dispatch, uniform
 supervision, and telemetry relay. Subclasses only provide the channel
 plumbing (:meth:`_spawn` / :meth:`_connect`).
 
-Supervision is deliberately the same state machine as the in-process
-:class:`~repro.service.supervisor.ShardSupervisor` — a dead child
-process or a dropped socket is just another shard crash:
+Supervision is one state machine for both transports — a dead child
+process and a dropped socket are the same worker crash:
 
 - **crash** — the channel reaches EOF while an assignment is claimed
   (child killed, pipe closed, socket reset);
-- **hang** — no reply lands within the hang deadline (the remote
-  default is :data:`REMOTE_HANG_DEADLINE_SECONDS`; an explicitly
-  configured ``SupervisorConfig`` wins);
-- recovery is requeue-then-restart under the same exponential-backoff
+- **hang** — no reply lands within
+  :attr:`SupervisorConfig.hang_deadline_seconds`;
+- recovery is requeue-then-restart under an exponential-backoff
   restart budget, and an exhausted budget opens the slot's circuit
-  breaker. When *every* slot is broken, an inline drain loop runs the
-  remaining assignments in the coordinator process — degraded to
+  breaker. When *every* slot is broken, an inline drain loop checks
+  the remaining assignments in the coordinator process through
+  :func:`~repro.service.transport.base.run_inline` — degraded to
   sequential, but never losing results.
 
-Requeue is idempotent for the same reason it is in-process: chaos kills
-fire *before* the assignment runs, and every check is a pure function
-of (corpus, commit), so re-executing a lost assignment reproduces the
-byte-identical verdict. Exactly-once delivery of verdicts is the
-journal ledger's dedup layer, unchanged.
+Requeue is idempotent: chaos kills fire *before* the assignment runs,
+and every check is a pure function of (corpus, commit), so
+re-executing a lost assignment reproduces the byte-identical verdict.
+Exactly-once delivery of verdicts is the journal ledger's dedup
+layer, unchanged.
 
 The worker-site fault injector runs on the coordinator, keyed by
-(worker slot, lifetime pickup sequence) — the exact key discipline of
-:class:`~repro.service.shards.ArchShard` — so chaos schedules are
+(worker slot, lifetime pickup sequence), so chaos schedules are
 deterministic for a fixed dispatch order and survive worker restarts
 (a fresh child process does not reset the slot's pickup counter).
 """
@@ -36,6 +34,7 @@ deterministic for a fixed dispatch order and survive worker restarts
 from __future__ import annotations
 
 import asyncio
+from dataclasses import dataclass
 
 from repro.errors import TransportError
 from repro.faults.inject import FaultInjector, NULL_INJECTOR
@@ -56,24 +55,52 @@ from repro.obs.events import (
 )
 from repro.obs.logcfg import get_logger
 from repro.obs.timeseries import registry_from_dict
-from repro.core.units import UnitDag, run_units
-from repro.service.supervisor import SupervisorConfig
 from repro.service.transport import wire
-from repro.service.transport.base import Transport, TransportOutcome
+from repro.service.transport.base import (
+    Transport,
+    TransportOutcome,
+    run_inline,
+)
 from repro.service.transport.worker import WorkerInit
 
 _logger = get_logger("service.transport")
 
-#: default hang deadline for *remote* assignments. The in-process
-#: supervisor can use 0.2s because its single-threaded loop makes a
-#: held claim unobservable unless the worker is parked on an await;
-#: a remote worker is doing real wall-clock work, so the deadline must
-#: dominate a legitimately slow commit. An explicitly configured
-#: SupervisorConfig overrides this.
-REMOTE_HANG_DEADLINE_SECONDS = 30.0
-
 #: generous ceiling on worker startup (corpus unpickle + cache prime)
 HELLO_TIMEOUT_SECONDS = 120.0
+
+
+@dataclass
+class SupervisorConfig:
+    """Worker supervision tunables (real seconds — supervision watches
+    OS-level liveness, not the simulated clock)."""
+
+    #: real seconds an assignment may go without a reply before the
+    #: worker counts as hung; a worker does real wall-clock work, so
+    #: the default must dominate a legitimately slow commit
+    hang_deadline_seconds: float = 30.0
+    #: worker restarts allowed per slot before the breaker opens
+    max_restarts_per_shard: int = 3
+    #: exponential-backoff restart delays: base * factor**(restart-1),
+    #: capped at the max
+    backoff_base_seconds: float = 0.01
+    backoff_factor: float = 2.0
+    backoff_max_seconds: float = 0.5
+
+    def __post_init__(self) -> None:
+        if self.hang_deadline_seconds <= 0:
+            raise ValueError(
+                f"hang_deadline_seconds must be positive, "
+                f"got {self.hang_deadline_seconds}")
+        if self.max_restarts_per_shard < 0:
+            raise ValueError(
+                f"max_restarts_per_shard cannot be negative, "
+                f"got {self.max_restarts_per_shard}")
+
+    def backoff_seconds(self, restart: int) -> float:
+        """Delay before restart number ``restart`` (1-based)."""
+        delay = self.backoff_base_seconds * (
+            self.backoff_factor ** max(0, restart - 1))
+        return min(delay, self.backoff_max_seconds)
 
 
 class WorkerSlot:
@@ -148,10 +175,9 @@ class RemoteTransport(Transport):
     def __init__(self, service) -> None:
         self.service = service
         config = service.config
-        self.jobs = config.jobs if config.jobs else config.shards
+        self.jobs = config.jobs
         self.start_method = config.start_method
-        self.supervisor_config = config.supervisor or SupervisorConfig(
-            hang_deadline_seconds=REMOTE_HANG_DEADLINE_SECONDS)
+        self.supervisor_config = config.supervisor or SupervisorConfig()
         self.slots = [WorkerSlot(index) for index in range(self.jobs)]
         self._pending: "asyncio.Queue[_Assignment]" = None
         self._seq = 0
@@ -172,7 +198,7 @@ class RemoteTransport(Transport):
         self.hello_timeout = float(
             getattr(config, "hello_timeout_seconds", None)
             or HELLO_TIMEOUT_SECONDS)
-        # -- supervisor-shaped counters ------------------------------------
+        # -- supervision counters ------------------------------------------
         self.crashes_detected = 0
         self.hangs_detected = 0
         self.restarts = 0
@@ -181,8 +207,6 @@ class RemoteTransport(Transport):
         self.rejoins = 0
         self.fenced_replies = 0
         self.auth_rejected = 0
-        #: ops view of arch flakiness across requests (never verdicts)
-        self._quarantined: dict[str, str] = {}
 
     # -- channel plumbing (subclass responsibility) ------------------------
 
@@ -489,12 +513,9 @@ class RemoteTransport(Transport):
             self.service.events.emit(
                 event["kind"], request_id=event.get("request_id"),
                 **attrs)
-        quarantine = dict(payload.get("quarantine") or {})
-        self._quarantined.update(quarantine)
         return TransportOutcome(
             report=report,
-            stage_counts=dict(payload.get("stage_counts") or {}),
-            quarantine=quarantine,
+            quarantine=dict(payload.get("quarantine") or {}),
             worker_id=worker_id)
 
     # -- recovery ----------------------------------------------------------
@@ -612,34 +633,14 @@ class RemoteTransport(Transport):
             self.service.events.emit(
                 EVENT_SHARD_INLINE_DRAIN, shard=-1, jobs=1)
             try:
-                outcome = self._run_inline(assignment)
+                # degraded path: the coordinator checks the commit itself
+                outcome = run_inline(self.service, assignment.request)
             except Exception as error:  # noqa: BLE001
                 if not assignment.future.done():
                     assignment.future.set_exception(error)
                 continue
             if not assignment.future.done():
                 assignment.future.set_result(outcome)
-
-    def _run_inline(self, assignment: _Assignment) -> TransportOutcome:
-        """Degraded path: the coordinator checks the commit itself."""
-        service = self.service
-        request = assignment.request
-        session = service._make_session(request)
-        dag = UnitDag(request_id=request.request_id)
-        repository = service.corpus.repository
-        commit = repository.resolve(request.commit_id)
-        report = run_units(
-            session.iter_check_commit(repository, commit, dag=dag))
-        quarantine: dict[str, str] = {}
-        if session.last_build is not None:
-            request_quarantine = session.last_build.quarantine
-            quarantine = {arch: request_quarantine.reason(arch)
-                          for arch in request_quarantine.archs()}
-        self._quarantined.update(quarantine)
-        return TransportOutcome(report=report,
-                                stage_counts=dag.stage_counts(),
-                                quarantine=quarantine,
-                                worker_id=-1)
 
     # -- telemetry ---------------------------------------------------------
 
@@ -663,6 +664,3 @@ class RemoteTransport(Transport):
     def breaker_open_workers(self) -> list:
         return [slot.index for slot in self.slots
                 if slot.breaker_open]
-
-    def quarantined_archs(self) -> list:
-        return sorted(self._quarantined)

@@ -1,6 +1,6 @@
-"""The shard-transport wire codec: frames and messages.
+"""The transport wire codec: frames and messages.
 
-Remote shard workers (:mod:`repro.service.transport.mp` pipes,
+Remote workers (:mod:`repro.service.transport.mp` pipes,
 :mod:`repro.service.transport.sock` sockets) exchange length-prefixed,
 CRC32-checked frames whose payload is the same canonical JSON the
 write-ahead journal speaks (sorted keys, tight separators, ``allow_nan
@@ -9,7 +9,7 @@ journal are literally the same bytes discipline. Frame layout::
 
     offset  size  field
     0       4     magic  b"JMK1"
-    4       1     wire version (1)
+    4       1     wire version (2)
     5       1     message type code
     6       4     payload length, big-endian
     10      4     CRC32 over version, type, length and payload (BE)
@@ -35,9 +35,9 @@ Verdict payloads reuse the :data:`SCHEMA_VERSION` canonical record
 coordinator can rebuild the *full* :class:`PatchReport` — the
 evaluation runner derives its per-attempt records from it, and the
 differential suite pins the rebuilt report's canonical form
-byte-identical to a local run. No work unit crosses the wire: a unit's
-thunk closes over session state and never leaves its process, and the
-coordinator needs only the per-stage unit counts (``stage_counts``).
+byte-identical to a local run. A worker checks each commit whole, so
+a VERDICT frame carries the finished report and telemetry, never any
+scheduling data about how the check was split.
 """
 
 from __future__ import annotations
@@ -69,8 +69,9 @@ from repro.faults.inject import FaultReport
 #: first bytes of every frame; a stream that does not start with them
 #: is not (or no longer) speaking this protocol
 MAGIC = b"JMK1"
-#: bumped on incompatible frame-layout changes
-WIRE_VERSION = 1
+#: bumped on incompatible frame-layout or message-schema changes
+#: (2: VERDICT frames dropped their per-stage unit counts)
+WIRE_VERSION = 2
 #: refuse frames that declare more than this much payload — a corrupt
 #: length field must not stall the stream waiting for gigabytes
 MAX_FRAME_BYTES = 16 * 1024 * 1024
@@ -113,8 +114,8 @@ _MESSAGE_FIELDS = {
     MSG_WORK: ("seq", "request_id", "commit_id", "options", "chaos",
                "lease"),
     MSG_VERDICT: ("seq", "request_id", "commit_id", "report",
-                  "stage_counts", "quarantine", "metrics", "events",
-                  "worker_id", "lease"),
+                  "quarantine", "metrics", "events", "worker_id",
+                  "lease"),
     MSG_ERROR: ("seq", "error", "kind"),
     MSG_SHUTDOWN: (),
     MSG_CHALLENGE: ("nonce",),
@@ -297,8 +298,8 @@ def work_message(seq: int, request_id: str, commit_id: str, *,
 
 
 def verdict_message(seq: int, request_id: str, commit_id: str, *,
-                    report: PatchReport, stage_counts: dict,
-                    quarantine: dict, metrics: dict, events: list,
+                    report: PatchReport, quarantine: dict,
+                    metrics: dict, events: list,
                     worker_id: int, lease: int = 0) -> dict:
     """One finished assignment: full verdict + telemetry to merge.
 
@@ -309,7 +310,6 @@ def verdict_message(seq: int, request_id: str, commit_id: str, *,
     return {"seq": seq, "request_id": request_id,
             "commit_id": commit_id,
             "report": report_to_wire(report),
-            "stage_counts": dict(stage_counts),
             "quarantine": dict(quarantine),
             "metrics": metrics,
             "events": list(events),

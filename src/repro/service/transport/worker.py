@@ -1,4 +1,4 @@
-"""The warm shard-worker process: preload once, check commits forever.
+"""The warm worker process: preload once, check commits forever.
 
 One worker process serves one transport slot. At startup it builds its
 private substrate **once** — the corpus (inherited under ``fork``,
@@ -37,7 +37,6 @@ from dataclasses import dataclass
 from repro.buildcache.cache import BuildCache
 from repro.cc.toolchain import ToolchainRegistry
 from repro.core.jmake import CheckSession, JMakeOptions
-from repro.core.units import UnitDag, run_units
 from repro.faults.inject import FaultInjector, NULL_INJECTOR
 from repro.faults.plan import (
     KIND_NET_HALF_OPEN,
@@ -182,24 +181,19 @@ class WorkerRuntime:
             metrics=self.metrics,
             fault_plan=self.init.fault_plan,
             retry_policy=self.init.retry_policy)
-        dag = UnitDag(request_id=request_id)
         repository = self.corpus.repository
         commit = repository.resolve(commit_id)
         before = self.metrics.snapshot()
-        generator = session.iter_check_commit(repository, commit,
-                                              dag=dag)
-        report = run_units(generator)
-        quarantine: dict[str, str] = {}
-        if session.last_build is not None:
-            request_quarantine = session.last_build.quarantine
-            quarantine = {arch: request_quarantine.reason(arch)
-                          for arch in request_quarantine.archs()}
+        report = session.check_commit(repository, commit)
+        request_quarantine = session.last_build.quarantine
+        quarantine = {arch: request_quarantine.reason(arch)
+                      for arch in request_quarantine.archs()}
         delta = self.metrics.delta(before)
         events, self.events = self.events, []
         return wire.verdict_message(
             payload["seq"], request_id, commit.id,
-            report=report, stage_counts=dag.stage_counts(),
-            quarantine=quarantine, metrics=delta.to_dict(),
+            report=report, quarantine=quarantine,
+            metrics=delta.to_dict(),
             events=events, worker_id=self.init.worker_id)
 
 

@@ -6,7 +6,8 @@ stream, check them through the transport-backed
 instant it exists, and fold the journal into the persistent
 :class:`~repro.store.store.VerdictStore` batch by batch. Every piece
 is the machinery earlier PRs built — the WAL/ledger (PR 5), the
-sharded service (PR 4/8), the telemetry plane (PR 7) — composed into
+check service and its transports (PR 4/8), the telemetry plane
+(PR 7) — composed into
 a daemon whose one invariant is *a commit checked once is never
 recomputed and never lost*:
 
@@ -140,7 +141,7 @@ class WatchConfig:
     checkpoint_interval: int = 32
     #: chaos: die (SimulatedCrashError) after N durable fresh verdicts
     chaos_kill_after: int | None = None
-    #: the check-service configuration (transport, shards, supervision)
+    #: the check-service configuration (transport, jobs, supervision)
     service: ServiceConfig | None = None
     #: build cache handed to the service (True -> fresh warm cache)
     cache: object = True

@@ -14,7 +14,7 @@ ignorable commits); janitors skew to 87% / 2% / 10%.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 

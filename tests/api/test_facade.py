@@ -46,8 +46,8 @@ class TestValidateJobs:
             api.validate_jobs(bad)
 
     def test_custom_label_lands_in_message(self):
-        with pytest.raises(ValueError, match="--shards"):
-            api.validate_jobs(0, what="--shards")
+        with pytest.raises(ValueError, match="--jobs"):
+            api.validate_jobs(0, what="--jobs")
 
 
 class TestOneShotHelpers:
@@ -84,7 +84,7 @@ class TestOneShotHelpers:
     def test_serve_helper_builds_service(self, small_corpus,
                                          checkable_commits):
         service = api.serve(small_corpus,
-                            config=api.ServiceConfig(shards=2))
+                            config=api.ServiceConfig())
         results = service.check_commits(
             [checkable_commits[0].id])
         assert len(results) == 1

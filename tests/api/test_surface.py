@@ -4,8 +4,8 @@ for everything else.
 These tests keep the surface from growing back: the retired spellings
 stay gone, ``repro.api.__all__`` is pinned to the names its callers
 reach, package ``__init__`` files hold only their docstrings, no
-module below the facade imports it, and DESIGN.md §3 names every
-module exactly once.
+module below the facade imports it, DESIGN.md §3 names every module
+exactly once, and no module imports a name it never uses.
 """
 
 import ast
@@ -151,3 +151,59 @@ class TestModuleMap:
                          for path in SRC.rglob("*.py")
                          if path.name != "__init__.py")
         assert sorted(_module_map()) == modules
+
+
+def _annotation_names(node: ast.AST) -> set[str]:
+    """Names an annotation uses, string annotations included."""
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            try:
+                names |= _annotation_names(
+                    ast.parse(sub.value, mode="eval"))
+            except SyntaxError:
+                pass
+    return names
+
+
+def _unused_imports(tree: ast.Module) -> list[str]:
+    """Imported names the module never references (``__all__``
+    entries and string annotations count as references)."""
+    imported: dict[str, int] = {}
+    used: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = \
+                    node.lineno
+        elif isinstance(node, ast.ImportFrom):
+            if node.module != "__future__":
+                for alias in node.names:
+                    imported[alias.asname or alias.name] = node.lineno
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, (ast.arg, ast.AnnAssign)):
+            if node.annotation is not None:
+                used |= _annotation_names(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if node.returns is not None:
+                used |= _annotation_names(node.returns)
+        elif isinstance(node, ast.Assign) and any(
+                isinstance(target, ast.Name) and target.id == "__all__"
+                for target in node.targets):
+            used |= {element.value for element in node.value.elts}
+    return [f"{name} (line {lineno})"
+            for name, lineno in sorted(imported.items())
+            if name not in used]
+
+
+class TestNoUnusedImports:
+    def test_every_imported_name_is_used(self):
+        offenders = {}
+        for path in sorted(SRC.rglob("*.py")):
+            unused = _unused_imports(_parse(path))
+            if unused:
+                offenders[str(path.relative_to(SRC.parent))] = unused
+        assert offenders == {}

@@ -2,8 +2,6 @@
 
 import pickle
 
-import pytest
-
 from repro.buildcache.cache import BuildCache, _PICKLE_VERSION
 
 

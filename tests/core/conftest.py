@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.jmake import CheckSession, JMakeOptions
+from repro.core.jmake import CheckSession
 from repro.kernel.generator import generate_tree
 
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.jmake import CheckSession, JMakeOptions
-from repro.kernel.generator import KernelTreeGenerator, generate_tree
+from repro.kernel.generator import KernelTreeGenerator
 from repro.kernel.layout import default_tree_spec
 from repro.vcs.diff import Patch, diff_texts
 

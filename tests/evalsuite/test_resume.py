@@ -113,7 +113,7 @@ class TestServiceKillResume:
         result = kill_resume_run(small_corpus,
                                  str(tmp_path / "run.jnl"),
                                  offsets=offsets,
-                                 run_kwargs={"service": 2})
+                                 run_kwargs={"service": True})
         assert result.canonical_records() == \
             baseline.canonical_records()
 
@@ -126,7 +126,7 @@ class TestServiceKillResume:
         journal = str(tmp_path / "run.jnl")
         with pytest.raises(SimulatedCrashError):
             EvaluationSession(small_corpus).run(
-                limit=LIMIT, journal=journal, service=2,
+                limit=LIMIT, journal=journal, service=True,
                 on_journal_append=CrashPoint(offset))
         result = EvaluationSession(small_corpus).run(
             limit=LIMIT, journal=journal, resume=True)
@@ -168,7 +168,7 @@ class TestFaultStormKillResume:
             small_corpus, str(tmp_path / "run.jnl"),
             offsets=offsets,
             session_kwargs={"fault_plan": storm_plan},
-            run_kwargs={"service": 2})
+            run_kwargs={"service": True})
         assert result.canonical_records() == \
             faulted_baseline.canonical_records()
 

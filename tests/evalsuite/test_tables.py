@@ -1,7 +1,7 @@
 """Tests for table renderers."""
 
 from repro.evalsuite.tables import render_grid, table1, table2, table3, table4
-from repro.janitors.identify import JanitorCriteria, RankedDeveloper
+from repro.janitors.identify import RankedDeveloper
 from repro.kernel.layout import HazardKind
 
 

@@ -27,7 +27,7 @@ STEP_SITES = ("config", "preprocess", "compile")
 
 #: the sequential pipeline's matrix; process-level kinds (worker
 #: crash/hang, torn journal writes) have their own chaos suites in
-#: tests/faults/test_chaos.py and tests/service/test_supervisor.py
+#: tests/faults/test_chaos.py and tests/service/test_chaos_transport.py
 PIPELINE_MATRIX = [combo for combo in valid_kind_sites()
                    if combo[1] not in PROCESS_SITES]
 

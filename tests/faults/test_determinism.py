@@ -12,7 +12,6 @@ import sys
 import pytest
 
 from repro.evalsuite.runner import EvaluationSession
-from repro.faults.plan import FaultPlan, FaultSpec
 
 LIMIT = 30
 

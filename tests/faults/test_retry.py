@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.faults.plan import FaultSpec
 from repro.faults.resilience import DEFAULT_RETRY_POLICY, RetryPolicy
 from repro.kbuild.build import BuildError
 from repro.obs.metrics import MetricsRegistry

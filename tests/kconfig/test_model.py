@@ -4,7 +4,6 @@ import pytest
 
 from repro.errors import KconfigError
 from repro.kconfig.model import ConfigModel
-from repro.kconfig.parser import parse_kconfig
 
 
 def model_from(text, files=None):

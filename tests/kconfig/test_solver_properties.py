@@ -8,7 +8,6 @@ allnoconfig, and targeted configurations are sound.
 
 from hypothesis import given, settings, strategies as st
 
-from repro.kconfig.ast import Tristate
 from repro.kconfig.model import ConfigModel
 from repro.kconfig.solver import (
     allmodconfig,

@@ -4,8 +4,8 @@ import pickle
 
 import pytest
 
-from repro.obs.metrics import (DEFAULT_BUCKETS, NULL_METRICS, Counter,
-                               Gauge, Histogram, MetricsRegistry,
+from repro.obs.metrics import (DEFAULT_BUCKETS, NULL_METRICS, Gauge,
+                               Histogram, MetricsRegistry,
                                NullMetricsRegistry)
 
 

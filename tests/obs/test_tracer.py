@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.obs.tracer import (NULL_TRACER, NullTracer, Span, Tracer,
+from repro.obs.tracer import (NULL_TRACER, NullTracer, Tracer,
                               STATUS_ERROR, STATUS_OK)
 from repro.util.simclock import SimClock
 

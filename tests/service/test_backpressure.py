@@ -15,8 +15,7 @@ class TestAdmission:
         async def main():
             service = CheckService(
                 small_corpus,
-                config=ServiceConfig(shards=1,
-                                     max_pending_requests=1))
+                config=ServiceConfig(max_pending_requests=1))
             await service.start()
             try:
                 first = service.submit_nowait(
@@ -40,8 +39,7 @@ class TestAdmission:
         async def main():
             service = CheckService(
                 small_corpus,
-                config=ServiceConfig(shards=2,
-                                     max_pending_requests=2))
+                config=ServiceConfig(max_pending_requests=2))
             await service.start()
             try:
                 commit_ids = [commit.id
@@ -74,8 +72,7 @@ class TestAdmission:
         async def main():
             service = CheckService(
                 small_corpus,
-                config=ServiceConfig(shards=1,
-                                     max_pending_requests=1))
+                config=ServiceConfig(max_pending_requests=1))
             await service.start()
             tasks = [
                 asyncio.get_running_loop().create_task(
@@ -89,4 +86,28 @@ class TestAdmission:
             assert len(results) == 3
             assert all(result.verdict for result in results)
             assert service.requests_completed == 3
+        asyncio.run(main())
+
+
+class TestOverloadError:
+    def test_rejection_carries_structured_fields(self, small_corpus,
+                                                 checkable_commits):
+        async def main():
+            service = CheckService(
+                small_corpus,
+                config=ServiceConfig(max_pending_requests=1))
+            await service.start()
+            try:
+                first = service.submit_nowait(
+                    CheckRequest(commit_id=checkable_commits[0].id))
+                await asyncio.sleep(0)
+                with pytest.raises(ServiceOverloadedError) as excinfo:
+                    service.submit_nowait(CheckRequest(
+                        commit_id=checkable_commits[1].id))
+                error = excinfo.value
+                assert error.limit == 1
+                assert error.queue_depth >= 1
+                await first
+            finally:
+                await service.drain()
         asyncio.run(main())

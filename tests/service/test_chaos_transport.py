@@ -5,8 +5,8 @@ severed connection is detected, the claimed assignment is requeued
 idempotently, the worker restarts under the backoff budget, and the
 verdict-bearing records stay byte-identical to an undisturbed run.
 Chaos decisions are drawn on the coordinator (keyed by worker slot and
-lifetime pickup sequence, the ArchShard discipline) and executed in
-the child for real: ``os._exit``, a closed socket, a parked process.
+lifetime pickup sequence) and executed in the child for real:
+``os._exit``, a closed socket, a parked process.
 
 The journal tests close the loop the paper cares about: kill-and-
 resume under every transport yields exactly one durable verdict per
@@ -27,12 +27,13 @@ from repro.faults.plan import (
 from repro.obs.events import (
     EVENT_SHARD_CRASH,
     EVENT_SHARD_HANG,
+    EVENT_SHARD_RESTART,
     EVENT_WORKER_REQUEUE,
     EVENT_WORKER_SPAWNED,
     EventLog,
 )
 from repro.service.service import CheckService, ServiceConfig
-from repro.service.supervisor import SupervisorConfig
+from repro.service.transport.remote import SupervisorConfig
 
 LIMIT = 3
 
@@ -94,6 +95,12 @@ class TestWorkerKill:
         requeue = events.events(EVENT_WORKER_REQUEUE)[0]
         assert requeue.attrs["cause"] == "crash"
         assert requeue.attrs["worker"] == 0
+        # the crash is narrated, then the restart of the same worker
+        crash = events.events(EVENT_SHARD_CRASH)[0]
+        restarts = events.events(EVENT_SHARD_RESTART)
+        assert len(restarts) == 1
+        assert restarts[0].attrs["shard"] == crash.attrs["shard"]
+        assert crash.seq < restarts[0].seq
 
     def test_pickup_counter_survives_restart(self, small_corpus,
                                              checkable_commits,

@@ -1,13 +1,13 @@
 """The service-mode acceptance surface: byte-identical verdicts.
 
-The INVARIANT of the check service (DESIGN.md §6): for any corpus, any
-shard count, cache on or off, fault plan active or not — and, since
-the transport layer, any execution substrate — the verdict-bearing
-canonical records of a service-mode run are byte-identical to the
-sequential ``EvaluationSession`` run. This is the service analogue of
-the cache-equivalence and fault-determinism suites, and it is what
-makes the service safe to put in front of janitors: sharding,
-cross-request batching, and process placement are pure scheduling.
+The INVARIANT of the check service (DESIGN.md §6): for any corpus,
+cache on or off, fault plan active or not, and any execution
+substrate, the verdict-bearing canonical records of a service-mode run
+are byte-identical to the sequential ``EvaluationSession`` run. This
+is the service analogue of the cache-equivalence and
+fault-determinism suites, and it is what makes the service safe to put
+in front of janitors: admission and process placement are pure
+scheduling.
 
 The transport matrix is the tentpole acceptance surface for the
 mp/socket backends: every cell (transport × cache × storm) must
@@ -53,27 +53,8 @@ class TestCleanRunsMatch:
         assert via_service.canonical_records() == \
             sequential.canonical_records()
 
-    def test_tiny_batch_limit_is_invariant(self, small_corpus,
-                                           sequential):
-        config = ServiceConfig(shards=2, batch_limit=3)
-        via_service = EvaluationSession(small_corpus).run(
-            limit=LIMIT, service=config)
-        assert via_service.canonical_records() == \
-            sequential.canonical_records()
-
 
 class TestFaultedRunsMatch:
-    @pytest.mark.parametrize("shards", [1, 4])
-    @pytest.mark.parametrize("cache", [False, True])
-    def test_shards_times_cache_grid(self, small_corpus, storm_plan,
-                                     faulted_sequential, shards,
-                                     cache):
-        via_service = EvaluationSession(
-            small_corpus, cache=cache,
-            fault_plan=storm_plan).run(limit=LIMIT, service=shards)
-        assert via_service.canonical_records() == \
-            faulted_sequential.canonical_records()
-
     def test_storm_actually_stormed(self, faulted_sequential,
                                     sequential):
         assert faulted_sequential.canonical_records() != \

@@ -39,10 +39,10 @@ from repro.obs.events import (
 )
 from repro.service.request import CheckRequest
 from repro.service.service import CheckService, ServiceConfig
-from repro.service.supervisor import SupervisorConfig
 from repro.service.transport import wire
 from repro.service.transport.base import create_transport
 from repro.service.transport.client import ReconnectPolicy, WorkerClient
+from repro.service.transport.remote import SupervisorConfig
 
 LIMIT = 3
 

@@ -4,8 +4,11 @@ import asyncio
 
 import pytest
 
+from repro.core.jmake import CheckSession
 from repro.errors import ServiceDrainingError
+from repro.evalsuite.runner import EvaluationSession
 from repro.faults.plan import FaultPlan, FaultSpec
+from repro.obs.events import EVENT_SHARD_CRASH, EventLog
 from repro.service.request import CheckRequest
 from repro.service.service import CheckService, ServiceConfig
 
@@ -13,8 +16,7 @@ from repro.service.service import CheckService, ServiceConfig
 @pytest.fixture(scope="module")
 def batch_results(small_corpus, checkable_commits):
     """One service run over five commits, plus its closing stats."""
-    service = CheckService(small_corpus,
-                           config=ServiceConfig(shards=2))
+    service = CheckService(small_corpus, config=ServiceConfig())
     commit_ids = [commit.id for commit in checkable_commits[:5]]
     results = service.check_commits(commit_ids)
     return commit_ids, results, service
@@ -36,7 +38,6 @@ class TestCheckCommits:
             assert result.verdict == result.report.verdict
             assert result.record["commit"] == result.commit_id
             assert result.record["schema_version"] >= 2
-            assert result.stage_counts.get("mutate") == 1
             assert result.elapsed_sim_seconds == \
                 result.report.elapsed_seconds
 
@@ -46,16 +47,6 @@ class TestCheckCommits:
         assert stats["started"] is False
         assert stats["requests_in_flight"] == 0
         assert stats["requests_completed"] == len(results)
-        assert stats["batcher"]["pending_units"] == 0
-        for shard in stats["shards"]:
-            assert shard["queue_depth"] == 0
-
-    def test_work_actually_ran_on_shards(self, batch_results):
-        _, _, service = batch_results
-        stats = service.stats()
-        assert sum(shard["units_run"]
-                   for shard in stats["shards"]) > 0
-        assert stats["batcher"]["flushes"] > 0
 
     def test_submit_after_drain_is_rejected(self, batch_results,
                                             checkable_commits):
@@ -72,30 +63,62 @@ class TestCheckCommits:
 class TestServiceConfig:
     def test_rejects_bad_shards(self):
         with pytest.raises(ValueError):
-            ServiceConfig(shards=0)
+            ServiceConfig(jobs=0)
         with pytest.raises(ValueError):
-            ServiceConfig(shards=True)
+            ServiceConfig(jobs=True)
 
     def test_rejects_bad_limits(self):
         with pytest.raises(ValueError):
-            ServiceConfig(batch_limit=0)
-        with pytest.raises(ValueError):
             ServiceConfig(max_pending_requests=0)
-        with pytest.raises(ValueError):
-            ServiceConfig(shard_queue_limit=0)
+
+    def test_evaluation_rejects_a_shard_count(self, small_corpus):
+        with pytest.raises(TypeError):
+            EvaluationSession(small_corpus).run(limit=1, service=2)
+
+
+class TestAsyncioPath:
+    def test_each_request_is_one_whole_check(self, small_corpus,
+                                             checkable_commits,
+                                             monkeypatch):
+        """The asyncio transport checks a request with one
+        ``check_commit`` call, like the sequential driver; with no
+        worker, a worker-site fault plan has nothing to crash."""
+        plan = FaultPlan(seed="crash", specs=[
+            FaultSpec(kind="worker_crash", site="worker", rate=1.0)])
+        commit_ids = [commit.id for commit in checkable_commits[:3]]
+        sequential = [
+            CheckSession.from_generated_tree(
+                small_corpus.tree, fault_plan=plan).check_commit(
+                    small_corpus.repository, commit_id).to_dict()
+            for commit_id in commit_ids]
+        calls = []
+        check_commit = CheckSession.check_commit
+
+        def recording(session, repository, commit):
+            calls.append(commit.id)
+            return check_commit(session, repository, commit)
+
+        monkeypatch.setattr(CheckSession, "check_commit", recording)
+        events = EventLog()
+        service = CheckService(
+            small_corpus,
+            config=ServiceConfig(fault_plan=plan, events=events))
+        results = service.check_commits(commit_ids)
+        assert calls == commit_ids
+        assert [result.record for result in results] == sequential
+        assert events.counts.get(EVENT_SHARD_CRASH, 0) == 0
 
 
 class TestQuarantineOpsView:
-    def test_request_quarantine_lands_on_owning_shard(self,
-                                                      small_corpus,
-                                                      checkable_commits):
+    def test_request_quarantine_lands_in_health(self, small_corpus,
+                                                checkable_commits):
         # arm configs fail persistently: arm quarantines per request
         # (the same plan the sequential PARTIAL suite relies on)
         plan = FaultPlan(seed="bench-arm", specs=[
             FaultSpec(kind="config_fail", arch="arm", times=10)])
         service = CheckService(
             small_corpus,
-            config=ServiceConfig(shards=4, fault_plan=plan),
+            config=ServiceConfig(fault_plan=plan),
             cache=False)
         results = service.check_commits(
             [commit.id for commit in checkable_commits[:10]])
@@ -103,10 +126,6 @@ class TestQuarantineOpsView:
                        if "arm" in result.report.quarantined_archs]
         if not quarantined:
             pytest.skip("no commit in this window exercised arm")
-        stats = service.stats()
-        from repro.service.shards import shard_index
-        owner = stats["shards"][shard_index("arm", 4)]
-        assert "arm" in owner["quarantined"]
-        for index, shard in enumerate(stats["shards"]):
-            if index != shard_index("arm", 4):
-                assert "arm" not in shard["quarantined"]
+        assert service.health()["quarantined_archs"] == sorted({
+            arch for result in results
+            for arch in result.report.quarantined_archs})

@@ -1,8 +1,9 @@
 """Telemetry threading through the check service.
 
-The service is the event log's main producer: lifecycle transitions,
-admission rejections, and supervisor interventions must all land in
-the structured stream with request correlation, and the snapshotter
+The service is the event log's main producer: lifecycle transitions
+and admission rejections must land in the structured stream with
+request correlation (worker supervision events are pinned by
+``test_chaos_transport.py``), and the snapshotter
 must capture the drained state as its final sample. All of it rides
 the null-object convention — a service constructed without telemetry
 keeps NULL_EVENTS/no snapshotter and pays nothing.
@@ -13,41 +14,23 @@ import asyncio
 import pytest
 
 from repro.errors import ServiceOverloadedError
-from repro.faults.inject import FaultInjector
-from repro.faults.plan import FaultPlan, FaultSpec
 from repro.obs.events import (
     EVENT_SERVICE_DRAINED,
     EVENT_SERVICE_REJECTED,
     EVENT_SERVICE_STARTED,
-    EVENT_SHARD_CRASH,
-    EVENT_SHARD_RESTART,
     NULL_EVENTS,
     EventLog,
     validate_event_record,
 )
-from repro.obs.sinks import CallbackSink
 from repro.obs.timeseries import Snapshotter
 from repro.service.request import CheckRequest
 from repro.service.service import CheckService, ServiceConfig
-from repro.service.shards import ShardPool
-from repro.service.supervisor import ShardSupervisor, SupervisorConfig
-
-FAST = SupervisorConfig(poll_interval_seconds=0.005,
-                        hang_deadline_seconds=0.05,
-                        backoff_base_seconds=0.0,
-                        max_restarts_per_shard=100)
-
-
-def crash_plan(path):
-    return FaultPlan(seed="crash", specs=[
-        FaultSpec(kind="worker_crash", site="worker",
-                  path=path, rate=1.0)])
 
 
 def observed_service(corpus, **overrides):
     """A service wired the way ``jmake serve`` wires it."""
     log = EventLog(clock=lambda: 0.0)
-    config = ServiceConfig(shards=2, events=log, **overrides)
+    config = ServiceConfig(events=log, **overrides)
     service = CheckService(corpus, config=config, cache=False)
     service.snapshotter = Snapshotter(service.metrics,
                                       clock=lambda: 0.0)
@@ -63,8 +46,8 @@ class TestLifecycleEvents:
         assert kinds[0] == EVENT_SERVICE_STARTED
         assert kinds[-1] == EVENT_SERVICE_DRAINED
         started = log.events(EVENT_SERVICE_STARTED)[0]
-        assert started.attrs["shards"] == 2
-        assert started.attrs["supervised"] is True
+        assert started.attrs["transport"] == "asyncio"
+        assert started.attrs["jobs"] == 2
         drained = log.events(EVENT_SERVICE_DRAINED)[0]
         assert drained.attrs["requests_completed"] == 2
 
@@ -139,7 +122,7 @@ class TestRejectionCorrelation:
                 for _ in range(1000):
                     if service._admission.locked():
                         break
-                    await asyncio.sleep(0.001)
+                    await asyncio.sleep(0)
                 assert service._admission.locked(), \
                     "first request never claimed the admission slot"
                 with pytest.raises(ServiceOverloadedError):
@@ -155,29 +138,3 @@ class TestRejectionCorrelation:
         assert rejected[0].request_id == "req-2"
         assert rejected[0].attrs["limit"] == 1
 
-
-class TestSupervisorEvents:
-    def test_crash_and_restart_are_narrated_with_the_shard(self):
-        async def main():
-            log = EventLog(clock=lambda: 0.0,
-                           sinks=[CallbackSink(lambda record: None)])
-            pool = ShardPool(
-                1, injector=FaultInjector(crash_plan("pickup-1")))
-            pool.start()
-            supervisor = ShardSupervisor(pool, config=FAST, events=log)
-            shard = pool.shards[0]
-            ran = []
-            await shard.enqueue(lambda: ran.append("job"))
-            await asyncio.sleep(0.01)   # worker picks up and crashes
-            await supervisor.sweep()
-            await shard.queue.join()
-            await pool.stop()
-            assert ran == ["job"]
-            return log
-        log = asyncio.run(main())
-        crash = log.events(EVENT_SHARD_CRASH)
-        restart = log.events(EVENT_SHARD_RESTART)
-        assert len(crash) == 1 and len(restart) == 1
-        assert crash[0].attrs["shard"] == 0
-        assert restart[0].attrs["shard"] == 0
-        assert crash[0].seq < restart[0].seq

@@ -13,7 +13,7 @@ import pytest
 from repro.service.request import CheckRequest
 from repro.service.service import START_METHODS, CheckService, ServiceConfig
 from repro.service.transport.base import TRANSPORT_KINDS, create_transport
-from repro.service.transport.remote import RemoteTransport
+from repro.service.transport.remote import RemoteTransport, SupervisorConfig
 
 LIMIT = 3
 
@@ -62,6 +62,29 @@ class TestConfigSurface:
             create_transport(service, "carrier-pigeon")
 
 
+class TestSupervisorConfig:
+    def test_defaults_are_valid(self):
+        SupervisorConfig()
+
+    @pytest.mark.parametrize("field,value", [
+        ("hang_deadline_seconds", 0.0),
+        ("max_restarts_per_shard", -1),
+    ])
+    def test_bad_values_are_rejected(self, field, value):
+        with pytest.raises(ValueError):
+            SupervisorConfig(**{field: value})
+
+    def test_backoff_is_exponential_and_capped(self):
+        config = SupervisorConfig(backoff_base_seconds=0.01,
+                                  backoff_factor=2.0,
+                                  backoff_max_seconds=0.05)
+        assert config.backoff_seconds(1) == pytest.approx(0.01)
+        assert config.backoff_seconds(2) == pytest.approx(0.02)
+        assert config.backoff_seconds(3) == pytest.approx(0.04)
+        assert config.backoff_seconds(4) == pytest.approx(0.05)
+        assert config.backoff_seconds(10) == pytest.approx(0.05)
+
+
 @pytest.mark.parametrize("transport", ["mp", "socket"])
 class TestRemoteTransports:
     def test_records_identical_to_asyncio(self, spawn_safe_corpus,
@@ -82,8 +105,8 @@ class TestRemoteTransports:
         stats = service.stats()
         assert stats["transport"]["kind"] == transport
         assert stats["transport"]["jobs"] == 2
-        # the supervisor block keeps the ShardSupervisor's exact shape,
-        # so dashboards need no per-transport special cases
+        # both remote transports fill the supervisor block with the
+        # same keys, so dashboards need no per-transport special cases
         assert set(stats["supervisor"]) == SUPERVISOR_STAT_KEYS
         assert stats["supervisor"]["crashes_detected"] == 0
         assert stats["supervisor"]["breaker_open_shards"] == []
@@ -94,8 +117,6 @@ class TestRemoteTransports:
             assert worker["pid"] is not None
             assert worker["crashes"] == 0
             assert not worker["breaker_open"]
-        # remote transports have no cross-request batcher
-        assert stats["batcher"] == {}
 
     def test_telemetry_flows_back(self, spawn_safe_corpus,
                                   checkable_commits, transport):

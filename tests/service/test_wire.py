@@ -174,8 +174,8 @@ class TestRoundTrip:
         frame = wire.encode_frame(
             wire.MSG_VERDICT,
             wire.verdict_message(1, "req", report.commit_id,
-                                 report=report, stage_counts={},
-                                 quarantine={}, metrics={}, events=[],
+                                 report=report, quarantine={},
+                                 metrics={}, events=[],
                                  worker_id=0))
         _, decoded_payload, _ = wire.decode_frame(frame)
         rebuilt = wire.report_from_wire(decoded_payload["report"])

@@ -370,9 +370,9 @@ class TestWatch:
 
     def test_watch_rejects_bad_shards(self, capsys, tmp_path):
         assert main(self.WATCH + ["--out-dir", str(tmp_path / "f"),
-                                  "--shards", "0"]) == 2
+                                  "--jobs", "0"]) == 2
         err = capsys.readouterr().err
-        assert "--shards must be a positive integer" in err
+        assert "--jobs must be a positive integer" in err
 
     def test_watch_rejects_zero_traffic(self, capsys, tmp_path):
         assert main(self.WATCH + ["--out-dir", str(tmp_path / "f"),
@@ -468,7 +468,7 @@ class TestOutputFlagNotices:
         out_dir = tmp_path / "serve-outs"
         stats = tmp_path / "elsewhere-stats.json"
         assert main(["serve", "--commits", "30", "--limit", "2",
-                     "--seed", "cli-test", "--shards", "2",
+                     "--seed", "cli-test",
                      "--out-dir", str(out_dir),
                      "--stats-out", str(stats)]) == 0
         captured = capsys.readouterr()
@@ -482,7 +482,7 @@ class TestOutputFlagNotices:
     def test_serve_out_dir_fans_out_every_sink(self, capsys, tmp_path):
         out_dir = tmp_path / "serve-outs"
         assert main(["serve", "--commits", "30", "--limit", "2",
-                     "--seed", "cli-test", "--shards", "2",
+                     "--seed", "cli-test",
                      "--out-dir", str(out_dir)]) == 0
         captured = capsys.readouterr()
         assert "deprecated" not in captured.err

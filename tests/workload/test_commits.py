@@ -2,8 +2,6 @@
 
 import pytest
 
-from repro.util.rng import DeterministicRng
-from repro.vcs.repository import LogOptions
 from repro.workload.corpus import Corpus, CorpusSpec, build_corpus
 from repro.workload.personas import PersonaKind, default_roster
 
