@@ -288,9 +288,9 @@ class BuildCache:
     def prime(self, tree, registry, *, use_allmodconfig: bool = False) -> None:
         """Pre-solve Kconfig models and all*config per architecture.
 
-        Called by the parallel runner in the parent process before
-        forking workers, so every worker inherits the solved
-        configurations copy-on-write instead of re-solving them.
+        Called by a remote transport's coordinator before it spawns
+        workers, so every worker starts from the solved configurations
+        (copy-on-write under ``fork``) instead of re-solving them.
         """
         from repro.errors import KconfigError, ToolchainError
         from repro.kconfig.model import ConfigModel

@@ -8,8 +8,9 @@ keep their PR 1 API as views over that registry, so cache telemetry
 shows up in ``jmake evaluate --metrics-out`` alongside the pipeline
 metrics while every existing call site (``stats.kind("object").hits +=
 1`` and friends) still works. The registry algebra supplies the
-subtraction and merging the parallel runner needs to combine per-worker
-deltas with the parent's priming stats into one coherent surface.
+subtraction and merging a remote transport needs to combine the
+per-batch deltas its workers send home with the coordinator's priming
+stats into one coherent surface.
 """
 
 from __future__ import annotations

@@ -416,7 +416,7 @@ def _worker(args: argparse.Namespace) -> int:
             auth_key=args.auth_key,
             worker_id=args.worker_id,
             corpus=corpus,
-            use_cache=not args.no_cache,
+            cache=not args.no_cache,
             start_method=args.start_method or "fork",
             reconnect=reconnect)
     except ValueError as error:

@@ -17,8 +17,8 @@ commit's snapshot, extract the changed lines, mutate, and drive the
 compile checks. ``check_patch`` is the lower-level entry for a worktree
 the caller already holds; :meth:`CheckSession.worktree_for_files`
 builds a throwaway single-commit worktree for VCS-less use. Every
-driver — sequential, the fork pool, and each check-service transport —
-calls ``check_commit`` once per commit.
+driver — the sequential loop and each check-service transport, the
+``--jobs N`` workers included — calls ``check_commit`` once per commit.
 """
 
 from __future__ import annotations

@@ -9,11 +9,10 @@ sufficient to regenerate every table, figure, and in-text statistic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.buildcache.cache import BuildCache
 from repro.buildcache.stats import CacheStats
-from repro.cc.toolchain import ToolchainRegistry
 from repro.core.changes import extract_changed_files
 from repro.core.jmake import CheckSession, JMakeOptions
 from repro.core.report import FileReport, FileStatus, PatchReport
@@ -216,36 +215,6 @@ def scaled_criteria(corpus: Corpus) -> JanitorCriteria:
     )
 
 
-#: worker-process state for the parallel runner (set by the pool
-#: initializer; each forked worker owns an independent CheckSession
-#: but shares the pre-forked, copy-on-write build cache)
-_WORKER: dict = {}
-
-
-def _init_worker(corpus: Corpus, options: JMakeOptions,
-                 cache: BuildCache | None, observe: bool,
-                 jobs: int, fault_plan: "FaultPlan | None" = None,
-                 retry_policy: "RetryPolicy | None" = None) -> None:
-    _WORKER["corpus"] = corpus
-    _WORKER["cache"] = cache
-    _WORKER["jobs"] = jobs
-    tracer = Tracer() if observe else None
-    metrics = MetricsRegistry() if observe else None
-    _WORKER["tracer"] = tracer
-    _WORKER["metrics"] = metrics
-    _WORKER["metrics_base"] = metrics.snapshot() if metrics is not None \
-        else None
-    _WORKER["jmake"] = CheckSession.from_generated_tree(corpus.tree,
-                                                 options=options,
-                                                 cache=cache,
-                                                 tracer=tracer,
-                                                 metrics=metrics,
-                                                 fault_plan=fault_plan,
-                                                 retry_policy=retry_policy)
-    _WORKER["stats_base"] = cache.stats_snapshot() \
-        if cache is not None else None
-
-
 def _serialize_commit_tree(tracer: Tracer, index: int, jobs: int) -> dict:
     """Serialize the root span of the commit just checked.
 
@@ -260,27 +229,6 @@ def _serialize_commit_tree(tracer: Tracer, index: int, jobs: int) -> dict:
     root.set("commit.index", index)
     root.set("worker", index % jobs)
     return root.to_dict()
-
-
-def _check_one(task: "tuple[int, str]") -> tuple:
-    index, commit_id = task
-    corpus: Corpus = _WORKER["corpus"]
-    report = _WORKER["jmake"].check_commit(corpus.repository, commit_id)
-    cache: BuildCache | None = _WORKER["cache"]
-    delta = None
-    if cache is not None:
-        snapshot = cache.stats_snapshot()
-        delta = snapshot.delta(_WORKER["stats_base"])
-        _WORKER["stats_base"] = snapshot
-    tree = None
-    metrics_delta = None
-    tracer: "Tracer | None" = _WORKER["tracer"]
-    if tracer is not None:
-        tree = _serialize_commit_tree(tracer, index, _WORKER["jobs"])
-        snapshot = _WORKER["metrics"].snapshot()
-        metrics_delta = snapshot.delta(_WORKER["metrics_base"])
-        _WORKER["metrics_base"] = snapshot
-    return index, report, delta, tree, metrics_delta
 
 
 class EvaluationSession:
@@ -334,17 +282,17 @@ class EvaluationSession:
             on_journal_append=None) -> EvaluationResult:
         """Run JMake over the evaluation window.
 
-        ``jobs`` > 1 distributes patches over worker processes the way
-        the paper ran 25 parallel processes on its testbed (§V-A);
-        results are identical to the serial run because every check is
-        a pure function of (corpus, commit).
-
-        ``service`` routes the commits through a
-        :class:`~repro.service.service.CheckService` instead — ``True``
-        for the default config, or a full ``ServiceConfig``.
-        Verdict-bearing records are byte-identical
-        to the sequential path (the differential suite pins this);
-        span trees/metrics are not collected in service mode.
+        Two drivers check the commits: this process's own loop, or a
+        :class:`~repro.service.service.CheckService`. ``jobs`` > 1
+        distributes patches over worker processes the way the paper ran
+        25 parallel processes on its testbed (§V-A), through a service
+        on the mp transport with ``jobs`` workers that admits every
+        commit at once. ``service`` routes the commits through a service
+        explicitly — ``True`` for the default config, or a full
+        ``ServiceConfig``, which wins over ``jobs``. Verdict-bearing
+        records, and the span trees and pipeline metrics of an observed
+        run, are the same under every driver: every check is a pure
+        function of (corpus, commit).
 
         ``journal`` names a write-ahead verdict journal: every patch
         verdict is durably appended the moment it exists, under every
@@ -419,6 +367,13 @@ class EvaluationSession:
                 from repro.journal.records import patch_record_to_dict
                 ledger.emit(commit.id, patch_record_to_dict(record))
 
+        if jobs > 1 and not service:
+            from repro.service.service import ServiceConfig
+            # every commit admitted at once: the transport batches from
+            # the whole task list
+            service = ServiceConfig(
+                transport="mp", jobs=jobs,
+                max_pending_requests=max(1, len(pending)))
         _logger.info("checking %d commits (%d replayed from journal; "
                      "jobs=%d, observe=%s, service=%s)", len(pending),
                      len(checkable) - len(pending), jobs, self.observe,
@@ -427,11 +382,8 @@ class EvaluationSession:
         metrics: "MetricsRegistry | None" = None
         try:
             if service:
-                result.service_stats = self._run_service(
-                    pending, service, record_report)
-            elif jobs > 1:
-                trees, metrics = self._run_parallel(
-                    pending, jobs, record_report)
+                result.service_stats, trees, metrics = \
+                    self._run_service(pending, service, record_report)
             else:
                 tracer = Tracer() if self.observe else None
                 metrics = MetricsRegistry() if self.observe else None
@@ -497,22 +449,23 @@ class EvaluationSession:
         })
         return ledger
 
-    def _run_service(self, commits, service, on_report) -> dict:
-        """Route the commits through an in-process check service.
+    def _run_service(self, commits, service, on_report):
+        """Route the commits through a check service.
 
         The service shares this runner's cache/fault-plan/retry-policy
         substrate; per-request sessions keep verdicts byte-identical to
         the sequential path. ``on_report`` fires per commit in
-        submission order as results land (journaling incrementally);
-        returns the service's stats (worker supervision and breaker
-        state included).
+        submission order as results land (journaling incrementally).
+        Returns the service's stats, then — None unless observed — the
+        span trees and the pipeline metrics (all but ``service.*``).
         """
         from repro.service.service import CheckService, ServiceConfig
 
         if service is True:
             config = ServiceConfig()
         elif isinstance(service, ServiceConfig):
-            config = service
+            # a copy: what is filled in below belongs to this run
+            config = replace(service)
         else:
             raise TypeError(
                 f"service must be True or a ServiceConfig, "
@@ -521,64 +474,42 @@ class EvaluationSession:
             config.fault_plan = self.fault_plan
         if config.retry_policy is None:
             config.retry_policy = self.retry_policy
+        own_tracer = self.observe and config.tracer is None
+        if own_tracer:
+            # a service with a tracer returns each check's span tree
+            config.tracer = Tracer()
         check_service = CheckService(
             self.corpus, options=self.options, config=config,
             cache=self.cache if self.cache is not None else False)
         by_id = {commit.id: commit for commit in commits}
-        check_service.check_commits(
-            [commit.id for commit in commits],
-            on_result=lambda result: on_report(by_id[result.commit_id],
-                                               result.report))
-        return check_service.stats()
+        lanes = 1 if config.transport == "asyncio" else config.jobs
+        trees: "list[dict] | None" = [] if self.observe else None
 
-    def _run_parallel(self, commits, jobs: int, on_report):
-        """Fan patches out over forked worker processes.
+        def on_result(result) -> None:
+            on_report(by_id[result.commit_id], result.report)
+            if trees is not None:
+                # stamped as _serialize_commit_tree stamps; results
+                # land in submission order
+                attributes = result.span_tree.setdefault("attributes", {})
+                attributes["commit.index"] = len(trees)
+                attributes["worker"] = len(trees) % lanes
+                trees.append(result.span_tree)
 
-        The shared build cache is primed in the parent before the fork
-        (Kconfig models and all*config per architecture), so every
-        worker inherits the solved artifacts copy-on-write. Tasks run
-        through ``imap_unordered`` in chunks — finished chunks stream
-        back instead of rendezvousing like ``pool.map`` — and order is
-        restored from each task's index. Workers return per-task stats
-        deltas which the parent merges into its own counters.
-        """
-        import multiprocessing
-
-        if self.cache is not None:
-            self.cache.prime(
-                self.corpus.tree, ToolchainRegistry(),
-                use_allmodconfig=self.options.use_allmodconfig)
-        context = multiprocessing.get_context("fork")
-        tasks = [(index, commit.id)
-                 for index, commit in enumerate(commits)]
-        trees: "list[dict] | None" = [None] * len(tasks) \
-            if self.observe else None
-        metrics = MetricsRegistry() if self.observe else None
-        chunksize = max(1, len(tasks) // (jobs * 4))
-        with context.Pool(
-                processes=jobs,
-                initializer=_init_worker,
-                initargs=(self.corpus, self.options, self.cache,
-                          self.observe, jobs, self.fault_plan,
-                          self.retry_policy)) as pool:
-            for index, report, delta, tree, metrics_delta in \
-                    pool.imap_unordered(_check_one, tasks, chunksize):
-                # reports land (and journal) in completion order; the
-                # caller restores final ordering from the commit list,
-                # and the ledger is an order-free keyed map
-                on_report(commits[index], report)
-                if delta is not None and self.cache is not None:
-                    self.cache.stats.merge(delta)
-                if tree is not None and trees is not None:
-                    # tasks land in completion order; slotting by index
-                    # (and commutative metric merging) keeps the merged
-                    # result identical however the workers raced
-                    trees[index] = tree
-                if metrics_delta is not None and metrics is not None:
-                    metrics.merge(metrics_delta)
-        if trees is not None:
-            trees = [tree for tree in trees if tree is not None]
-        return trees, metrics
+        check_service.check_commits([commit.id for commit in commits],
+                                    on_result=on_result)
+        if own_tracer:
+            # only the checks' trees were wanted, not the service's own
+            # service.request spans
+            config.tracer.drain()
+        metrics = None
+        if self.observe:
+            metrics = check_service.metrics.snapshot()
+            for instruments in (metrics.counters, metrics.gauges,
+                                metrics.histograms):
+                for name in [name for name in instruments
+                             if name.startswith("service.")]:
+                    del instruments[name]
+        return check_service.stats(), trees, metrics
 
     # -- record construction ------------------------------------------------
 

@@ -3,10 +3,10 @@
 A :class:`MetricsRegistry` is a named-instrument store with the same
 algebra the build-cache counters established in PR 1: ``snapshot`` for
 an independent copy, ``merge`` to add another registry in, and ``delta``
-for counter-wise subtraction — so the parallel evaluation runner can
-combine per-worker registries exactly like it combines cache stats.
-Merging is commutative, which keeps merged metrics deterministic no
-matter in what order ``imap_unordered`` returns the tasks.
+for counter-wise subtraction — so the check service can combine the
+per-batch deltas its remote workers send home exactly like it combines
+cache stats. Merging is commutative, which keeps merged metrics
+deterministic no matter in what order the workers' verdicts land.
 
 Instrument names are dotted paths (``tokens.found``,
 ``cache.preprocess.hits``); the well-known pipeline instruments are

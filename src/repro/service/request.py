@@ -40,6 +40,9 @@ class CheckResult:
     record: dict = field(default_factory=dict)
     #: simulated seconds the check charged to its own clock
     elapsed_sim_seconds: float = 0.0
+    #: the check's serialized root span (``jmake.check_commit``, times
+    #: rebased to its start) when the service has a tracer, else None
+    span_tree: "dict | None" = None
 
     @property
     def verdict(self) -> str:

@@ -30,7 +30,7 @@ import time
 from dataclasses import dataclass
 
 from repro.buildcache.cache import BuildCache
-from repro.core.jmake import CheckSession, JMakeOptions
+from repro.core.jmake import JMakeOptions
 from repro.cpp import prepared
 from repro.errors import ServiceDrainingError, ServiceOverloadedError
 from repro.faults.inject import FaultInjector, NULL_INJECTOR
@@ -78,7 +78,9 @@ class ServiceConfig:
     #: fault plan applied per request (same semantics as sequential)
     fault_plan: "FaultPlan | None" = None
     retry_policy: "RetryPolicy | None" = None
-    #: optional tracer for the per-request ``service.request`` span
+    #: optional tracer for the per-request ``service.request`` span;
+    #: with one set, every result also carries the span tree of its
+    #: check (:attr:`CheckResult.span_tree`)
     tracer: object = None
     #: optional structured-event log (:class:`repro.obs.events.
     #: EventLog`); None -> NULL_EVENTS, zero overhead
@@ -314,15 +316,6 @@ class CheckService:
 
     # -- execution -------------------------------------------------------------
 
-    def _make_session(self, request: CheckRequest) -> CheckSession:
-        return CheckSession.from_generated_tree(
-            self.corpus.tree,
-            options=request.options or self.options,
-            cache=self.cache,
-            metrics=self.metrics,
-            fault_plan=self.config.fault_plan,
-            retry_policy=self.config.retry_policy)
-
     async def _run_request(self, request: CheckRequest) -> CheckResult:
         wall_start = time.perf_counter()
         with self.tracer.span("service.request",
@@ -353,6 +346,7 @@ class CheckService:
             report=report,
             record=report.to_dict(),
             elapsed_sim_seconds=report.elapsed_seconds,
+            span_tree=outcome.span_tree,
         )
 
     # -- conveniences ----------------------------------------------------------
@@ -442,6 +436,8 @@ class CheckService:
             "events": self.events.stats(),
             "snapshots": self.snapshotter.stats()
             if self.snapshotter is not None else None,
+            # remote workers' probes included: each VERDICT frame's
+            # cache-stats delta merges into this cache's counters
             "cache": None if self.cache is None
             else self.cache.stats_snapshot().render(),
             # process-local view: worker processes keep their own

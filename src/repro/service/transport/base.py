@@ -14,9 +14,10 @@ public API; the transport decides *where* the pipeline runs:
   a localhost TCP socket speaking the length-prefixed CRC32 protocol.
 
 Every transport runs a request whole, one ``CheckSession.check_commit``
-call, like the sequential driver. Every check is a pure function of
-(corpus, commit) — the invariant the differential suite enforces — so
-verdicts are byte-identical regardless of where they execute.
+call (:func:`check_whole`), like the sequential driver. Every check is
+a pure function of (corpus, commit) — the invariant the differential
+suite enforces — so verdicts are byte-identical regardless of where
+they execute.
 
 The module also keeps a registry of live transports
 (:func:`live_transports`) so the test suite's leak check can assert
@@ -28,6 +29,9 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass, field
+
+from repro.core.jmake import CheckSession
+from repro.obs.tracer import Tracer
 
 #: the vocabulary ``ServiceConfig.transport`` accepts
 TRANSPORT_KINDS = ("asyncio", "mp", "socket")
@@ -60,13 +64,36 @@ class TransportOutcome:
     ``quarantine`` maps quarantined architecture -> trip reason for the
     finished request (the service emits quarantine events and ops
     telemetry from it — remote transports have no ``session.last_build``
-    to inspect). ``worker_id`` is the executing worker slot (-1 for
-    in-process execution).
+    to inspect). ``span_tree`` is the check's serialized root span when
+    the service has a tracer, else None.
     """
 
     report: object
     quarantine: dict = field(default_factory=dict)
-    worker_id: int = -1
+    span_tree: "dict | None" = None
+
+
+def check_whole(corpus, commit_id: str, *, trace: bool,
+                **session_args) -> TransportOutcome:
+    """Check one commit whole in a fresh ``CheckSession`` built from
+    ``session_args`` — one ``check_commit`` call, wherever it runs.
+
+    With ``trace`` the session gets its own tracer, and the outcome
+    carries the root span serialized with simulated times rebased to
+    the commit's start.
+    """
+    tracer = Tracer() if trace else None
+    session = CheckSession.from_generated_tree(corpus.tree, tracer=tracer,
+                                               **session_args)
+    repository = corpus.repository
+    report = session.check_commit(repository,
+                                  repository.resolve(commit_id))
+    quarantine = session.last_build.quarantine
+    return TransportOutcome(
+        report=report,
+        quarantine={arch: quarantine.reason(arch)
+                    for arch in quarantine.archs()},
+        span_tree=tracer.drain()[-1].to_dict() if trace else None)
 
 
 def run_inline(service, request) -> TransportOutcome:
@@ -75,15 +102,12 @@ def run_inline(service, request) -> TransportOutcome:
     The asyncio transport runs every request this way; the remote
     transports fall back to it once every worker's breaker is open.
     """
-    session = service._make_session(request)
-    repository = service.corpus.repository
-    report = session.check_commit(repository,
-                                  repository.resolve(request.commit_id))
-    quarantine = session.last_build.quarantine
-    return TransportOutcome(
-        report=report,
-        quarantine={arch: quarantine.reason(arch)
-                    for arch in quarantine.archs()})
+    return check_whole(
+        service.corpus, request.commit_id,
+        trace=service.config.tracer is not None,
+        options=request.options or service.options, cache=service.cache,
+        metrics=service.metrics, fault_plan=service.config.fault_plan,
+        retry_policy=service.config.retry_policy)
 
 
 class Transport:

@@ -38,6 +38,7 @@ import threading
 import time
 from dataclasses import dataclass
 
+from repro.buildcache.cache import BuildCache
 from repro.errors import (
     AuthError,
     CorpusMismatchError,
@@ -145,7 +146,10 @@ class WorkerClient:
     it lands where the transport armed its rendezvous. ``corpus`` may
     be supplied directly (spawned workers inherit it under ``fork``);
     otherwise it is rebuilt from the WELCOME's shipped spec and
-    verified against the coordinator's fingerprint.
+    verified against the coordinator's fingerprint. ``cache`` is the
+    coordinator's primed :class:`BuildCache` for a spawned worker
+    (None: the service runs uncached); ``True`` builds a private cache
+    when the WELCOME asks for one, ``False`` never does.
 
     ``hard_exit`` controls the fatal chaos kinds: real worker processes
     die with ``os._exit`` (the production signal supervision must
@@ -156,7 +160,8 @@ class WorkerClient:
     def __init__(self, host: str, port: int, *, auth_key: str,
                  worker_id: int = -1, corpus: object = None,
                  options: object = None, fault_plan: object = None,
-                 retry_policy: object = None, use_cache: bool = True,
+                 retry_policy: object = None,
+                 cache: "BuildCache | bool" = True,
                  start_method: str = "fork",
                  reconnect: ReconnectPolicy | None = None,
                  hard_exit: bool = True) -> None:
@@ -168,18 +173,16 @@ class WorkerClient:
         self.options = options
         self.fault_plan = fault_plan
         self.retry_policy = retry_policy
-        self.use_cache = use_cache
+        self.cache = cache
         self.start_method = start_method
         self.reconnect = reconnect or ReconnectPolicy()
         self.hard_exit = hard_exit
         #: current lease epoch (set by each WELCOME)
         self.lease = 0
-        #: assignments served over the client's lifetime
+        #: commits served over the client's lifetime
         self.assignments = 0
         #: completed reconnect cycles (registrations after the first)
         self.reconnects = 0
-        #: event dicts buffered for the next verdict frame
-        self._pending_events: list[dict] = []
         self._runtime: WorkerRuntime | None = None
         self._stopped = False
 
@@ -250,14 +253,17 @@ class WorkerClient:
             if retry_policy is None:
                 retry_policy = wire.retry_policy_from_wire(
                     welcome.get("retry_policy"))
+            cache = self.cache
+            if not isinstance(cache, BuildCache):
+                cache = BuildCache() if cache and welcome.get(
+                    "use_cache", True) else None
             self.corpus = corpus
             self._runtime = WorkerRuntime(WorkerInit(
                 worker_id=welcome["worker_id"],
                 start_method=self.start_method,
                 corpus=corpus, options=options,
                 fault_plan=fault_plan, retry_policy=retry_policy,
-                use_cache=bool(welcome.get("use_cache", self.use_cache)),
-                auth_key=self.auth_key))
+                cache=cache, auth_key=self.auth_key))
         self._runtime.init.worker_id = welcome["worker_id"]
         self.lease = welcome["lease"]
 
@@ -327,21 +333,11 @@ class WorkerClient:
                     return "died"
                 if chaos == KIND_NET_SLOW:
                     time.sleep(NET_SLOW_SECONDS)
-                if self._pending_events:
-                    runtime.events.extend(self._pending_events)
-                    self._pending_events = []
-                try:
-                    verdict = runtime.check(payload)
-                except Exception as error:  # noqa: BLE001 — stay up
-                    channel.send(wire.encode_frame(
-                        wire.MSG_ERROR, wire.error_message(
-                            payload["seq"], str(error),
-                            type(error).__name__)))
-                    continue
+                verdict = runtime.check(payload)
                 verdict["lease"] = self.lease
                 channel.send(wire.encode_frame(wire.MSG_VERDICT,
                                                verdict))
-                self.assignments += 1
+                self.assignments += len(payload["items"])
         finally:
             if heartbeat is not None:
                 heartbeat.stop()
@@ -381,12 +377,12 @@ class WorkerClient:
             attempt = 0
             if registered_before:
                 self.reconnects += 1
-                self._pending_events.append({
+                # rides the next verdict frame home
+                self._runtime.events.append({
                     "kind": EVENT_WORKER_RECONNECT,
-                    "worker": welcome["worker_id"],
-                    "lease": self.lease,
-                    "reconnects": self.reconnects,
-                })
+                    "attrs": {"worker": welcome["worker_id"],
+                              "lease": self.lease,
+                              "reconnects": self.reconnects}})
             registered_before = True
             try:
                 outcome = self._serve(channel, welcome)

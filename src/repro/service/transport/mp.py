@@ -7,11 +7,14 @@ by a duplex pipe. Wire-codec frames ride ``send_bytes``/``recv_bytes``
 same CRC32-framed canonical JSON the socket transport streams, so both
 transports exercise one codec.
 
-Blocking pipe I/O is bridged onto the event loop with executor
-threads. A thread parked in ``recv_bytes`` past a hang deadline is
-unblocked when the coordinator kills the worker (the child's pipe end
-closes, the read EOFs); channels are never reused across processes, so
-a stale read can never steal a fresh worker's frame.
+The parent waits for a frame on the event loop itself (``add_reader``
+on the pipe) and then reads it whole, so a reply costs no thread
+hand-off; a cancelled wait (hang deadline, drain) just drops the
+reader. Sends write straight to the pipe: a WORK frame carries at most
+``remote.MAX_BATCH`` commits (a few KB) and one is in flight per
+worker, far below the pipe's buffer, so a send never waits on the
+child. Channels are never reused across processes, so a stale frame
+can never reach a fresh worker's slot.
 """
 
 from __future__ import annotations
@@ -32,19 +35,24 @@ class MpParentChannel:
         self._conn = conn
 
     async def send(self, frame: bytes) -> None:
-        loop = asyncio.get_running_loop()
-        await loop.run_in_executor(None, self._conn.send_bytes, frame)
-
-    def _recv_blocking(self) -> "bytes | None":
-        try:
-            return self._conn.recv_bytes()
-        except (EOFError, OSError):
-            return None
+        self._conn.send_bytes(frame)
 
     async def recv_message(self) -> "tuple[int, dict] | None":
         loop = asyncio.get_running_loop()
-        frame = await loop.run_in_executor(None, self._recv_blocking)
-        if frame is None:
+        try:
+            fd = self._conn.fileno()
+        except OSError:
+            return None  # closed by a reap
+        readable = loop.create_future()
+        loop.add_reader(
+            fd, lambda: readable.done() or readable.set_result(None))
+        try:
+            await readable
+        finally:
+            loop.remove_reader(fd)
+        try:
+            frame = self._conn.recv_bytes()
+        except (EOFError, OSError):
             return None
         msg_type, payload, _ = wire.decode_frame(frame)
         return msg_type, payload

@@ -8,10 +8,11 @@ plumbing (:meth:`_spawn` / :meth:`_connect`).
 Supervision is one state machine for both transports — a dead child
 process and a dropped socket are the same worker crash:
 
-- **crash** — the channel reaches EOF while an assignment is claimed
+- **crash** — the channel reaches EOF while a batch is claimed
   (child killed, pipe closed, socket reset);
 - **hang** — no reply lands within
-  :attr:`SupervisorConfig.hang_deadline_seconds`;
+  :attr:`SupervisorConfig.hang_deadline_seconds` (or, with heartbeats,
+  the worker's lease lapses);
 - recovery is requeue-then-restart under an exponential-backoff
   restart budget, and an exhausted budget opens the slot's circuit
   breaker. When *every* slot is broken, an inline drain loop checks
@@ -19,16 +20,18 @@ process and a dropped socket are the same worker crash:
   :func:`~repro.service.transport.base.run_inline` — degraded to
   sequential, but never losing results.
 
-Requeue is idempotent: chaos kills fire *before* the assignment runs,
-and every check is a pure function of (corpus, commit), so
-re-executing a lost assignment reproduces the byte-identical verdict.
-Exactly-once delivery of verdicts is the journal ledger's dedup
-layer, unchanged.
+Dispatch is batched by the queue (:meth:`RemoteTransport._take_batch`).
+Requeue is idempotent: chaos kills fire *before* a batch runs, and
+every check is a pure function of (corpus, commit), so re-executing
+every commit of the batch a lost worker held reproduces the
+byte-identical verdicts. Exactly-once delivery of verdicts is the
+journal ledger's dedup layer, unchanged.
 
 The worker-site fault injector runs on the coordinator, keyed by
-(worker slot, lifetime pickup sequence), so chaos schedules are
-deterministic for a fixed dispatch order and survive worker restarts
-(a fresh child process does not reset the slot's pickup counter).
+(worker slot, lifetime pickup sequence) where a pickup is one WORK
+frame, so chaos schedules are deterministic for a fixed dispatch order
+and survive worker restarts (a fresh child process does not reset the
+slot's pickup counter).
 """
 
 from __future__ import annotations
@@ -36,7 +39,9 @@ from __future__ import annotations
 import asyncio
 from dataclasses import dataclass
 
-from repro.errors import TransportError
+from repro.buildcache.stats import CacheStats
+from repro.cc.toolchain import ToolchainRegistry
+from repro.errors import TransportError, WireSchemaError
 from repro.faults.inject import FaultInjector, NULL_INJECTOR
 from repro.faults.plan import SITE_WORKER
 from repro.obs.events import (
@@ -65,8 +70,14 @@ from repro.service.transport.worker import WorkerInit
 
 _logger = get_logger("service.transport")
 
-#: generous ceiling on worker startup (corpus unpickle + cache prime)
+#: generous ceiling on worker startup (corpus and cache unpickle)
 HELLO_TIMEOUT_SECONDS = 120.0
+
+#: most commits one WORK frame carries, however deep the queue: the
+#: WORK frame stays a few KB, the VERDICT far below
+#: ``wire.MAX_FRAME_BYTES``, and one hang deadline covers at most this
+#: many checks
+MAX_BATCH = 32
 
 
 @dataclass
@@ -74,9 +85,10 @@ class SupervisorConfig:
     """Worker supervision tunables (real seconds — supervision watches
     OS-level liveness, not the simulated clock)."""
 
-    #: real seconds an assignment may go without a reply before the
-    #: worker counts as hung; a worker does real wall-clock work, so
-    #: the default must dominate a legitimately slow commit
+    #: real seconds a WORK frame (up to MAX_BATCH commits) may go
+    #: without a reply before the worker counts as hung; a worker does
+    #: real wall-clock work, so the default must dominate a
+    #: legitimately slow batch
     hang_deadline_seconds: float = 30.0
     #: worker restarts allowed per slot before the breaker opens
     max_restarts_per_shard: int = 3
@@ -111,17 +123,19 @@ class WorkerSlot:
         self.process = None
         self.channel = None
         self.pid: "int | None" = None
-        #: assignment pickups over the slot's lifetime — the fault-
+        #: WORK frames sent over the slot's lifetime — the fault-
         #: injection key; deliberately NOT reset on restart, so a
         #: respawned process cannot re-draw its predecessor's faults
         self.pickups = 0
+        #: commits whose verdict this slot delivered
         self.assignments_done = 0
         self.crashes = 0
         self.hangs = 0
         self.restarts = 0
         self.breaker_open = False
         self.breaker_reason = ""
-        self.claimed = None
+        #: the batch sent and not yet answered (empty when idle)
+        self.claimed: "list[_Assignment]" = []
         #: fencing token: bumped on every registration, echoed by
         #: every verdict; a frame carrying an older epoch is from a
         #: session whose work was already requeued and is discarded
@@ -134,6 +148,8 @@ class WorkerSlot:
         #: reconnects accepted within the grace window (no restart
         #: budget burned — the process never died)
         self.rejoins = 0
+        #: between a restart's backoff and its worker's HELLO
+        self.restarting = False
         self._task: "asyncio.Task | None" = None
 
     def stats(self) -> dict:
@@ -171,6 +187,8 @@ class RemoteTransport(Transport):
     """Warm worker processes behind wire-frame dispatch."""
 
     kind = "remote"
+    #: False when workers are external (socket cross-host mode)
+    spawn_workers = True
 
     def __init__(self, service) -> None:
         self.service = service
@@ -227,7 +245,7 @@ class RemoteTransport(Transport):
             options=service.options,
             fault_plan=service.config.fault_plan,
             retry_policy=service.config.retry_policy,
-            use_cache=service.cache is not None)
+            cache=service.cache)
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -236,6 +254,12 @@ class RemoteTransport(Transport):
             return
         self._pending = asyncio.Queue()
         self._draining = False
+        service = self.service
+        if service.cache is not None and self.spawn_workers:
+            # every worker starts from this primed cache
+            service.cache.prime(
+                service.corpus.tree, ToolchainRegistry(),
+                use_allmodconfig=service.options.use_allmodconfig)
         loop = asyncio.get_running_loop()
         for slot in self.slots:
             self._spawn(slot)
@@ -252,14 +276,18 @@ class RemoteTransport(Transport):
         if not self._started:
             return
         # every admitted request has resolved by the time the service
-        # calls transport drain, so the slots are idle: stop the loops,
-        # then ask the children to exit cleanly. The flag backs up the
-        # cancel: before Python 3.12, asyncio.wait_for returns instead of
-        # raising when the cancel races a respawned worker's HELLO, and
-        # the slot loop would then wait on the empty queue forever.
+        # calls transport drain, so the slots are idle or restarting a
+        # lost worker: stop the loops, then ask the children to exit
+        # cleanly. A restart of a spawned worker runs to its HELLO first
+        # (its loop then ends on the flag), so every restart counted was
+        # a real respawn. The flag also backs up the cancel: before
+        # Python 3.12, asyncio.wait_for returns instead of raising when
+        # the cancel races a respawned worker's HELLO, and the slot loop
+        # would then wait on the empty queue forever.
         self._draining = True
         for slot in self.slots:
-            if slot._task is not None:
+            if slot._task is not None and not (
+                    slot.restarting and self.spawn_workers):
                 slot._task.cancel()
         await asyncio.gather(
             *[slot._task for slot in self.slots
@@ -316,13 +344,11 @@ class RemoteTransport(Transport):
         return await future
 
     async def _slot_loop(self, slot: WorkerSlot) -> None:
-        try:
-            await self._connect_or_recover(slot)
-            while not slot.breaker_open and not self._draining:
-                assignment = await self._pending.get()
-                await self._dispatch(slot, assignment)
-        except asyncio.CancelledError:
-            raise
+        await self._connect_or_recover(slot)
+        while not slot.breaker_open and not self._draining:
+            batch = self._take_batch(await self._pending.get())
+            if batch:
+                await self._dispatch(slot, batch)
 
     async def _connect_or_recover(self, slot: WorkerSlot) -> None:
         """Wait for the slot's worker to say HELLO; a worker that dies
@@ -335,28 +361,44 @@ class RemoteTransport(Transport):
             except (asyncio.TimeoutError, TransportError, OSError):
                 # no rejoin here: we just failed to connect, so a
                 # grace-window wait would only recurse into itself
-                await self._handle_loss(slot, None, cause="crash",
+                await self._handle_loss(slot, cause="crash",
                                         allow_rejoin=False)
 
+    def _take_batch(self, first: _Assignment) -> "list[_Assignment]":
+        """``first`` plus queued assignments, ``max(1, (1 + queued) //
+        (jobs * 4))`` in all but at most :data:`MAX_BATCH`: a process
+        pool's chunk rule, applied to the queue this slot sees."""
+        size = min(MAX_BATCH, max(
+            1, (1 + self._pending.qsize()) // (self.jobs * 4)))
+        batch = [first]
+        while len(batch) < size and not self._pending.empty():
+            batch.append(self._pending.get_nowait())
+        return [assignment for assignment in batch
+                if not assignment.future.cancelled()]
+
     async def _dispatch(self, slot: WorkerSlot,
-                        assignment: _Assignment) -> None:
-        if assignment.future.cancelled():
-            return
+                        batch: "list[_Assignment]") -> None:
+        """Send ``batch`` as one WORK frame — one pickup, one chaos
+        draw — and settle it from the worker's VERDICT."""
         slot.pickups += 1
-        slot.claimed = assignment
+        slot.claimed = batch
         spec = self._injector.fire(SITE_WORKER,
                                    arch=f"worker-{slot.index}",
                                    path=f"pickup-{slot.pickups}")
-        chaos = spec.kind if spec is not None else None
-        request = assignment.request
         frame = wire.encode_frame(wire.MSG_WORK, wire.work_message(
-            assignment.seq, request.request_id, request.commit_id,
-            options=request.options, chaos=chaos,
-            lease=slot.lease_epoch))
+            [wire.work_item(assignment.seq,
+                            assignment.request.request_id,
+                            assignment.request.commit_id,
+                            options=assignment.request.options)
+             for assignment in batch],
+            chaos=spec.kind if spec is not None else None,
+            lease=slot.lease_epoch,
+            trace=self.service.config.tracer is not None))
+        request = batch[0].request
         deadline = self.supervisor_config.hang_deadline_seconds
         try:
             await slot.channel.send(frame)
-            reply = await self._await_reply(slot, assignment.seq)
+            reply = await self._await_reply(slot, batch[0].seq)
         except asyncio.TimeoutError:
             self.hangs_detected += 1
             slot.hangs += 1
@@ -369,11 +411,12 @@ class RemoteTransport(Transport):
                 EVENT_SHARD_HANG, request_id=request.request_id,
                 shard=slot.index, deadline_seconds=deadline,
                 pickups=slot.pickups)
-            await self._handle_loss(slot, assignment, cause="hang")
+            await self._handle_loss(slot, cause="hang")
             return
         except (OSError, TransportError):
             reply = None
-        if reply is None:
+        if reply is None or [item["seq"] for item in reply["items"]] \
+                != [assignment.seq for assignment in batch]:
             self.crashes_detected += 1
             slot.crashes += 1
             self.service.metrics.counter(
@@ -385,36 +428,23 @@ class RemoteTransport(Transport):
                 EVENT_SHARD_CRASH, request_id=request.request_id,
                 shard=slot.index, error="WorkerLostError",
                 pickups=slot.pickups)
-            await self._handle_loss(slot, assignment, cause="crash")
+            await self._handle_loss(slot, cause="crash")
             return
-        slot.claimed = None
-        msg_type, payload = reply
-        if msg_type == wire.MSG_ERROR:
-            if not assignment.future.done():
-                assignment.future.set_exception(TransportError(
-                    f"worker {slot.index} failed assignment "
-                    f"{assignment.seq}: [{payload['kind']}] "
-                    f"{payload['error']}"))
-            return
-        slot.assignments_done += 1
-        self.service.events.emit(
-            EVENT_VERDICT_ACCEPTED, request_id=request.request_id,
-            worker=slot.index, commit=request.commit_id,
-            lease=slot.lease_epoch, seq=assignment.seq)
-        outcome = self._absorb_verdict(payload, slot.index)
-        if not assignment.future.done():
-            assignment.future.set_result(outcome)
+        slot.claimed = []
+        self._absorb_verdict(reply, slot, batch)
 
     async def _await_reply(self, slot: WorkerSlot,
-                           seq: int) -> "tuple[int, dict] | None":
-        """Wait for the reply under the slot's liveness regime.
+                           seq: int) -> "dict | None":
+        """Wait for the VERDICT of frame ``seq`` under the slot's
+        liveness regime.
 
         Without heartbeats this is the classic hang deadline: a fixed
-        window from dispatch. With heartbeats on, the window *slides*:
-        the reply may take arbitrarily long as long as the worker keeps
-        beating within ``lease_seconds`` — which is how a ``net_slow``
-        worker survives while a ``net_half_open`` one (open socket,
-        total silence) is reclaimed the moment its lease lapses.
+        window from dispatch, for the whole batch. With heartbeats on,
+        the window *slides*: the reply may take arbitrarily long as
+        long as the worker keeps beating within ``lease_seconds`` —
+        which is how a ``net_slow`` worker survives while a
+        ``net_half_open`` one (open socket, total silence) is reclaimed
+        the moment its lease lapses.
         """
         loop = asyncio.get_running_loop()
         start = loop.time()
@@ -444,16 +474,17 @@ class RemoteTransport(Transport):
                     raise asyncio.TimeoutError
                 done, _ = await asyncio.wait({task}, timeout=remaining)
                 if done:
-                    return task.result()
+                    reply = task.result()
+                    return reply[1] if reply is not None else None
         except asyncio.CancelledError:
             task.cancel()
             raise
 
     async def _read_reply(self, slot: WorkerSlot,
                           seq: int) -> "tuple[int, dict] | None":
-        """The worker's VERDICT/ERROR for ``seq`` (None on EOF).
+        """The worker's VERDICT for frame ``seq`` (None on EOF).
 
-        One assignment is in flight per worker and channels are never
+        One frame is in flight per worker and channels are never
         reused across processes, so a mismatched seq can only be a
         protocol bug — surfaced, not skipped. A VERDICT carrying a
         stale lease epoch is the exception: that is a fenced reply
@@ -465,17 +496,14 @@ class RemoteTransport(Transport):
             if message is None:
                 return None
             msg_type, payload = message
-            if msg_type == wire.MSG_HELLO:
-                continue  # late duplicate announcement; harmless
             if msg_type == wire.MSG_HEARTBEAT:
                 if payload.get("lease") == slot.lease_epoch:
                     slot.last_heartbeat = \
                         asyncio.get_running_loop().time()
                 continue
-            if msg_type not in (wire.MSG_VERDICT, wire.MSG_ERROR):
-                continue
-            if msg_type == wire.MSG_VERDICT and \
-                    payload.get("lease", slot.lease_epoch) != \
+            if msg_type != wire.MSG_VERDICT:
+                continue  # e.g. a late duplicate HELLO; harmless
+            if payload.get("lease", slot.lease_epoch) != \
                     slot.lease_epoch:
                 self.fenced_replies += 1
                 slot.fenced += 1
@@ -486,9 +514,8 @@ class RemoteTransport(Transport):
                     "%r (current %d); fenced", self.kind, slot.index,
                     payload.get("lease"), slot.lease_epoch)
                 self.service.events.emit(
-                    EVENT_LEASE_FENCED,
-                    request_id=payload.get("request_id"),
-                    worker=slot.index,
+                    EVENT_LEASE_FENCED, worker=slot.index,
+                    seq=payload.get("seq"),
                     stale_lease=payload.get("lease"),
                     lease=slot.lease_epoch)
                 continue
@@ -499,24 +526,46 @@ class RemoteTransport(Transport):
                     f"flight")
             return msg_type, payload
 
-    def _absorb_verdict(self, payload: dict,
-                        worker_id: int) -> TransportOutcome:
-        """Rebuild the report and fold worker telemetry into the
-        service's obs plane."""
-        report = wire.report_from_wire(payload["report"])
-        metrics = payload.get("metrics") or {}
+    def _absorb_verdict(self, payload: dict, slot: WorkerSlot,
+                        batch: "list[_Assignment]") -> None:
+        """Settle a batch from its VERDICT and fold the worker's
+        telemetry into the service's obs plane (worker cache probes
+        into the service cache's counters)."""
+        metrics = payload.get("metrics")
         if metrics:
             self.service.metrics.merge(registry_from_dict(metrics))
+        cache = payload.get("cache")
+        if cache and self.service.cache is not None:
+            self.service.cache.stats.merge(
+                CacheStats(registry_from_dict(cache)))
         for event in payload.get("events") or []:
             attrs = dict(event.get("attrs") or {})
-            attrs.setdefault("worker", worker_id)
+            attrs.setdefault("worker", slot.index)
             self.service.events.emit(
                 event["kind"], request_id=event.get("request_id"),
                 **attrs)
-        return TransportOutcome(
-            report=report,
-            quarantine=dict(payload.get("quarantine") or {}),
-            worker_id=worker_id)
+        for assignment, item in zip(batch, payload["items"]):
+            future = assignment.future
+            try:
+                if item["error"] is not None:
+                    raise TransportError(
+                        f"worker {slot.index} failed assignment "
+                        f"{assignment.seq}: {item['error']}")
+                report = wire.report_from_wire(item["report"])
+            except (TransportError, WireSchemaError) as error:
+                if not future.done():
+                    future.set_exception(error)
+                continue
+            slot.assignments_done += 1
+            self.service.events.emit(
+                EVENT_VERDICT_ACCEPTED,
+                request_id=assignment.request.request_id,
+                worker=slot.index, commit=assignment.request.commit_id,
+                lease=slot.lease_epoch, seq=assignment.seq)
+            if not future.done():
+                future.set_result(TransportOutcome(
+                    report=report, quarantine=dict(item["quarantine"]),
+                    span_tree=item["span_tree"]))
 
     # -- recovery ----------------------------------------------------------
 
@@ -543,19 +592,19 @@ class RemoteTransport(Transport):
         """
         return False
 
-    async def _handle_loss(self, slot: WorkerSlot,
-                           assignment: "_Assignment | None",
-                           cause: str, *,
+    async def _handle_loss(self, slot: WorkerSlot, cause: str, *,
                            allow_rejoin: bool = True) -> None:
         """Rejoin-or-requeue-then-restart, or open the breaker.
 
-        A crashed *connection* is given one chance to be a partition:
-        if the worker process dials back within the transport's grace
-        window it re-registers under a fresh lease epoch and no
-        restart budget is burned (the process never died). Everything
-        else takes the reap/restart/breaker path unchanged.
+        Every commit of the batch the slot held goes back on the
+        queue, each once. A crashed *connection* is given one chance to
+        be a partition: if the worker process dials back within the
+        transport's grace window it re-registers under a fresh lease
+        epoch and no restart budget is burned (the process never
+        died). Everything else takes the reap/restart/breaker path
+        unchanged.
         """
-        slot.claimed = None
+        held, slot.claimed = slot.claimed, []
         if allow_rejoin and cause == "crash" and \
                 await self._try_rejoin(slot):
             self.rejoins += 1
@@ -568,11 +617,11 @@ class RemoteTransport(Transport):
             self.service.events.emit(
                 EVENT_WORKER_REJOINED, worker=slot.index,
                 lease=slot.lease_epoch, rejoins=slot.rejoins)
-            if assignment is not None:
+            for assignment in held:
                 self._requeue(slot, assignment, cause)
             return
         await self._reap(slot)
-        if assignment is not None:
+        for assignment in held:
             self._requeue(slot, assignment, cause)
         if slot.restarts >= self.supervisor_config.\
                 max_restarts_per_shard:
@@ -593,14 +642,18 @@ class RemoteTransport(Transport):
             restart=slot.restarts,
             budget=self.supervisor_config.max_restarts_per_shard,
             backoff_seconds=delay)
-        if delay > 0:
-            await asyncio.sleep(delay)
-        self._spawn(slot)
-        self.service.events.emit(
-            EVENT_WORKER_SPAWNED, worker=slot.index,
-            transport=self.kind, start_method=self.start_method,
-            restart=slot.restarts)
-        await self._connect_or_recover(slot)
+        slot.restarting = True
+        try:
+            if delay > 0:
+                await asyncio.sleep(delay)
+            self._spawn(slot)
+            self.service.events.emit(
+                EVENT_WORKER_SPAWNED, worker=slot.index,
+                transport=self.kind, start_method=self.start_method,
+                restart=slot.restarts)
+            await self._connect_or_recover(slot)
+        finally:
+            slot.restarting = False
 
     def _open_breaker(self, slot: WorkerSlot) -> None:
         slot.breaker_open = True

@@ -9,7 +9,7 @@ journal are literally the same bytes discipline. Frame layout::
 
     offset  size  field
     0       4     magic  b"JMK1"
-    4       1     wire version (2)
+    4       1     wire version (3)
     5       1     message type code
     6       4     payload length, big-endian
     10      4     CRC32 over version, type, length and payload (BE)
@@ -36,8 +36,11 @@ coordinator can rebuild the *full* :class:`PatchReport` — the
 evaluation runner derives its per-attempt records from it, and the
 differential suite pins the rebuilt report's canonical form
 byte-identical to a local run. A worker checks each commit whole, so
-a VERDICT frame carries the finished report and telemetry, never any
-scheduling data about how the check was split.
+a VERDICT item carries the finished report (and, when asked, its span
+tree), never any scheduling data about how the check was split.
+
+WORK and VERDICT frames are batches: one item per commit, in the same
+order both ways; a frame's own ``seq`` is its first item's.
 """
 
 from __future__ import annotations
@@ -70,8 +73,9 @@ from repro.faults.inject import FaultReport
 #: is not (or no longer) speaking this protocol
 MAGIC = b"JMK1"
 #: bumped on incompatible frame-layout or message-schema changes
-#: (2: VERDICT frames dropped their per-stage unit counts)
-WIRE_VERSION = 2
+#: (2: VERDICT frames dropped their per-stage unit counts; 3: WORK and
+#: VERDICT frames carry batches of items)
+WIRE_VERSION = 3
 #: refuse frames that declare more than this much payload — a corrupt
 #: length field must not stall the stream waiting for gigabytes
 MAX_FRAME_BYTES = 16 * 1024 * 1024
@@ -84,11 +88,11 @@ HEADER_BYTES = _HEADER.size
 
 #: worker -> coordinator, once, after warm preload finished
 MSG_HELLO = 1
-#: coordinator -> worker: check one commit
+#: coordinator -> worker: check a batch of commits
 MSG_WORK = 2
-#: worker -> coordinator: the finished commit's full verdict
+#: worker -> coordinator: the finished batch's full verdicts
 MSG_VERDICT = 3
-#: worker -> coordinator: the assignment failed in a structured way
+#: a structured refusal (the coordinator rejecting a handshake)
 MSG_ERROR = 4
 #: coordinator -> worker: drain and exit cleanly
 MSG_SHUTDOWN = 5
@@ -111,17 +115,22 @@ MESSAGE_TYPES = (MSG_HELLO, MSG_WORK, MSG_VERDICT, MSG_ERROR,
 #: sender, not poison the peer)
 _MESSAGE_FIELDS = {
     MSG_HELLO: ("worker_id", "pid", "start_method"),
-    MSG_WORK: ("seq", "request_id", "commit_id", "options", "chaos",
-               "lease"),
-    MSG_VERDICT: ("seq", "request_id", "commit_id", "report",
-                  "quarantine", "metrics", "events", "worker_id",
-                  "lease"),
+    MSG_WORK: ("seq", "items", "chaos", "lease", "trace"),
+    MSG_VERDICT: ("seq", "items", "metrics", "cache", "events",
+                  "worker_id", "lease"),
     MSG_ERROR: ("seq", "error", "kind"),
     MSG_SHUTDOWN: (),
     MSG_CHALLENGE: ("nonce",),
     MSG_WELCOME: ("worker_id", "lease", "fingerprint",
                   "heartbeat_seconds", "lease_seconds"),
     MSG_HEARTBEAT: ("worker_id", "lease"),
+}
+
+#: required fields of every item of a batched message
+_ITEM_FIELDS = {
+    MSG_WORK: ("seq", "request_id", "commit_id", "options"),
+    MSG_VERDICT: ("seq", "request_id", "commit_id", "report",
+                  "quarantine", "span_tree", "error"),
 }
 
 
@@ -207,17 +216,30 @@ def decode_frame(data: bytes, offset: int = 0) -> tuple[int, dict, int]:
 
 
 def validate_message(msg_type: int, payload: dict) -> None:
-    """Typed schema check: unknown types and missing fields raise."""
+    """Typed schema check: unknown types, missing fields, and empty or
+    incomplete batches raise."""
     fields = _MESSAGE_FIELDS.get(msg_type)
     if fields is None:
         raise WireSchemaError(
             f"unknown message type {msg_type!r} (known: "
             f"{', '.join(str(code) for code in MESSAGE_TYPES)})")
-    missing = [name for name in fields if name not in payload]
+    _require(payload, fields, f"message type {msg_type}")
+    if msg_type in _ITEM_FIELDS:
+        items = payload["items"]
+        if not isinstance(items, list) or not items:
+            raise WireSchemaError(
+                f"message type {msg_type} carries no items")
+        for index, item in enumerate(items):
+            _require(item, _ITEM_FIELDS[msg_type],
+                     f"item {index} of message type {msg_type}")
+
+
+def _require(payload, fields: tuple, what: str) -> None:
+    missing = [name for name in fields
+               if not isinstance(payload, dict) or name not in payload]
     if missing:
         raise WireSchemaError(
-            f"message type {msg_type} missing required field(s) "
-            f"{', '.join(missing)}")
+            f"{what} missing required field(s) {', '.join(missing)}")
 
 
 class FrameDecoder:
@@ -281,44 +303,68 @@ def hello_message(worker_id: int, pid: int, start_method: str, *,
             "auth": auth}
 
 
-def work_message(seq: int, request_id: str, commit_id: str, *,
-                 options: "JMakeOptions | None" = None,
-                 chaos: str | None = None, lease: int = 0) -> dict:
-    """One commit assignment. ``chaos`` carries the coordinator's
-    worker-site fault decision for this pickup (the draw happens on the
-    coordinator, keyed by worker slot + pickup sequence, so the chaos
-    schedule survives worker restarts; the *effect* happens in the
-    child, where detection paths are real). ``lease`` is the fencing
-    token: the verdict must echo it or be discarded as stale."""
+def work_item(seq: int, request_id: str, commit_id: str, *,
+              options: "JMakeOptions | None" = None) -> dict:
+    """One commit of a WORK batch."""
     return {"seq": seq, "request_id": request_id,
             "commit_id": commit_id,
-            "options": options_to_wire(options),
-            "chaos": chaos,
-            "lease": lease}
+            "options": options_to_wire(options)}
 
 
-def verdict_message(seq: int, request_id: str, commit_id: str, *,
-                    report: PatchReport, quarantine: dict,
-                    metrics: dict, events: list,
-                    worker_id: int, lease: int = 0) -> dict:
-    """One finished assignment: full verdict + telemetry to merge.
+def work_message(items: list, *, chaos: str | None = None,
+                 lease: int = 0, trace: bool = False) -> dict:
+    """One WORK frame — one *pickup* — holding :func:`work_item` dicts.
 
-    ``lease`` echoes the WORK frame's fencing token; a coordinator
-    receiving a verdict under a stale lease epoch discards it (the
-    assignment was already requeued when the lease was revoked).
+    ``chaos`` carries the coordinator's worker-site fault decision for
+    the pickup (drawn on the coordinator, keyed by worker slot + pickup
+    sequence, so it survives worker restarts; the *effect* happens in
+    the child, where detection paths are real). ``lease`` is the
+    fencing token the verdict must echo; ``trace`` asks for span trees.
     """
+    items = list(items)
+    return {"seq": items[0]["seq"] if items else None,
+            "items": items,
+            "chaos": chaos,
+            "lease": lease,
+            "trace": trace}
+
+
+def verdict_item(seq: int, request_id: str, commit_id: str, *,
+                 report: "PatchReport | None" = None,
+                 quarantine: "dict | None" = None,
+                 span_tree: "dict | None" = None,
+                 error: "str | None" = None) -> dict:
+    """One commit of a VERDICT batch: its full verdict, quarantine and
+    (when the WORK frame asked) serialized span tree — or, when the
+    check raised, ``error`` and no report."""
     return {"seq": seq, "request_id": request_id,
             "commit_id": commit_id,
-            "report": report_to_wire(report),
-            "quarantine": dict(quarantine),
+            "report": report_to_wire(report) if report is not None
+            else None,
+            "quarantine": dict(quarantine or {}),
+            "span_tree": span_tree,
+            "error": error}
+
+
+def verdict_message(seq: int, items: list, *, metrics: dict,
+                    cache: "dict | None", events: list,
+                    worker_id: int, lease: int = 0) -> dict:
+    """One finished WORK batch: a :func:`verdict_item` per commit, in
+    the WORK frame's order, plus the batch's telemetry to merge (one
+    metrics delta, one cache-stats delta or None, buffered events).
+    ``seq`` and ``lease`` echo the WORK frame's; a verdict under a stale
+    lease epoch is discarded (its batch was already requeued).
+    """
+    return {"seq": seq, "items": list(items),
             "metrics": metrics,
+            "cache": cache,
             "events": list(events),
             "worker_id": worker_id,
             "lease": lease}
 
 
 def error_message(seq: int, error: str, kind: str) -> dict:
-    """A structured per-assignment failure (the worker stays up)."""
+    """A structured refusal (``seq`` 0 outside any assignment)."""
     return {"seq": seq, "error": error, "kind": kind}
 
 

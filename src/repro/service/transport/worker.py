@@ -1,24 +1,24 @@
-"""The warm worker process: preload once, check commits forever.
+"""The warm worker process: start warm once, check batches forever.
 
-One worker process serves one transport slot. At startup it builds its
-private substrate **once** — the corpus (inherited under ``fork``,
-unpickled under ``spawn``), a :class:`~repro.buildcache.cache.
-BuildCache` primed with every architecture's solved Kconfig models and
-all*config, and the process-wide prepared-file substrate that warms as
-files are first touched — then announces readiness with a HELLO frame
-and enters the assignment loop. Every WORK frame runs a fresh
-per-request :class:`~repro.core.jmake.CheckSession` over the warm
+One worker process serves one transport slot. It starts from the
+corpus and the service's :class:`~repro.buildcache.cache.BuildCache`,
+primed by the coordinator before spawning (both inherited under
+``fork``, pickled under ``spawn``), announces readiness with a HELLO
+frame and enters the assignment loop. Every commit of a WORK batch
+runs in a fresh per-request :class:`~repro.core.jmake.CheckSession`
+over the warm
 substrate (own SimClock, own injector scope, own quarantine), exactly
 the service's per-request isolation, so verdicts are byte-identical to
 a local run.
 
 Telemetry flows home on the verdict: each VERDICT frame carries the
-registry *delta* accrued while checking (commutative merges make the
-coordinator's totals order-independent) plus any buffered event dicts.
+batch's metrics-registry and cache-stats *deltas* (commutative merges
+make the coordinator's totals order-independent), any buffered event
+dicts, and — when the WORK frame asks — a span tree per commit.
 
 Chaos lives here too: the WORK frame's ``chaos`` field is the
-coordinator's worker-site fault decision for this pickup.
-``worker_kill``/``worker_crash`` hard-exit before the assignment runs
+coordinator's worker-site fault decision for this pickup (one frame).
+``worker_kill``/``worker_crash`` hard-exit before the batch runs
 (the requeue replays nothing), ``socket_drop`` severs the channel
 mid-claim, ``worker_hang`` parks the process until the coordinator's
 hang deadline reaps it. The *effects* are real — a dead child, a
@@ -35,8 +35,7 @@ import time
 from dataclasses import dataclass
 
 from repro.buildcache.cache import BuildCache
-from repro.cc.toolchain import ToolchainRegistry
-from repro.core.jmake import CheckSession, JMakeOptions
+from repro.core.jmake import JMakeOptions
 from repro.faults.inject import FaultInjector, NULL_INJECTOR
 from repro.faults.plan import (
     KIND_NET_HALF_OPEN,
@@ -49,6 +48,7 @@ from repro.faults.plan import (
 )
 from repro.obs.metrics import MetricsRegistry
 from repro.service.transport import wire
+from repro.service.transport.base import check_whole
 
 #: exit codes the coordinator logs for post-mortems (any non-zero exit
 #: is just "worker lost" to supervision)
@@ -75,7 +75,8 @@ class WorkerInit:
     options: "JMakeOptions | None" = None
     fault_plan: object = None
     retry_policy: object = None
-    use_cache: bool = True
+    #: the coordinator's primed cache (None runs uncached)
+    cache: BuildCache | None = None
     #: shared key for the HMAC challenge/response handshake; empty
     #: means the transport predates auth (pipe workers never need it)
     auth_key: str = ""
@@ -149,7 +150,7 @@ class SocketChildChannel:
 
 
 class WorkerRuntime:
-    """The warm per-process substrate plus the assignment loop."""
+    """The warm per-process substrate plus the batch checker."""
 
     def __init__(self, init: WorkerInit) -> None:
         self.init = init
@@ -158,43 +159,53 @@ class WorkerRuntime:
         self.metrics = MetricsRegistry()
         #: event dicts buffered for the next verdict frame
         self.events: list[dict] = []
-        self.cache: "BuildCache | None" = None
-        if init.use_cache:
-            self.cache = BuildCache()
-            pinned = FaultInjector(init.fault_plan) \
-                if init.fault_plan else NULL_INJECTOR
-            self.cache.pin_injector(pinned)
-            # warm preload: solve Kconfig models and all*config for
-            # every architecture once; every assignment hits warm state
-            self.cache.prime(self.corpus.tree, ToolchainRegistry(),
-                             use_allmodconfig=self.options.
-                             use_allmodconfig)
+        self.cache = init.cache
+        if self.cache is not None:
+            self.cache.pin_injector(FaultInjector(init.fault_plan)
+                                    if init.fault_plan else NULL_INJECTOR)
+        #: what the previous VERDICT frame already reported
+        self._metrics_base = self.metrics.snapshot()
+        self._cache_base = self.cache.stats_snapshot() \
+            if self.cache is not None else None
 
     def check(self, payload: dict) -> dict:
-        """Run one WORK assignment; returns the VERDICT payload."""
-        request_id = payload["request_id"]
-        commit_id = payload["commit_id"]
-        options = wire.options_from_wire(payload["options"]) \
-            or self.options
-        session = CheckSession.from_generated_tree(
-            self.corpus.tree, options=options, cache=self.cache,
-            metrics=self.metrics,
-            fault_plan=self.init.fault_plan,
-            retry_policy=self.init.retry_policy)
-        repository = self.corpus.repository
-        commit = repository.resolve(commit_id)
-        before = self.metrics.snapshot()
-        report = session.check_commit(repository, commit)
-        request_quarantine = session.last_build.quarantine
-        quarantine = {arch: request_quarantine.reason(arch)
-                      for arch in request_quarantine.archs()}
-        delta = self.metrics.delta(before)
+        """Run one WORK batch; returns the VERDICT payload."""
+        trace = payload["trace"]
+        items = [self._check_item(item, trace)
+                 for item in payload["items"]]
+        metrics = self.metrics.snapshot()
+        delta = metrics.delta(self._metrics_base)
+        self._metrics_base = metrics
+        cache_delta = None
+        if self.cache is not None:
+            stats = self.cache.stats_snapshot()
+            cache_delta = stats.delta(self._cache_base).registry.to_dict()
+            self._cache_base = stats
         events, self.events = self.events, []
         return wire.verdict_message(
-            payload["seq"], request_id, commit.id,
-            report=report, quarantine=quarantine,
-            metrics=delta.to_dict(),
-            events=events, worker_id=self.init.worker_id)
+            payload["seq"], items, metrics=delta.to_dict(),
+            cache=cache_delta, events=events,
+            worker_id=self.init.worker_id)
+
+    def _check_item(self, item: dict, trace: bool) -> dict:
+        """One commit of the batch, whole; a failure becomes an error
+        item and the rest of the batch still runs."""
+        try:
+            outcome = check_whole(
+                self.corpus, item["commit_id"], trace=trace,
+                options=wire.options_from_wire(item["options"])
+                or self.options,
+                cache=self.cache, metrics=self.metrics,
+                fault_plan=self.init.fault_plan,
+                retry_policy=self.init.retry_policy)
+        except Exception as error:  # noqa: BLE001 — stay up, report
+            return wire.verdict_item(
+                item["seq"], item["request_id"], item["commit_id"],
+                error=f"[{type(error).__name__}] {error}")
+        return wire.verdict_item(
+            item["seq"], item["request_id"], outcome.report.commit_id,
+            report=outcome.report, quarantine=outcome.quarantine,
+            span_tree=outcome.span_tree)
 
 
 def _fire_chaos(channel, chaos: "str | None") -> None:
@@ -239,15 +250,8 @@ def worker_loop(channel, init: WorkerInit) -> None:
         if msg_type != wire.MSG_WORK:
             continue
         _fire_chaos(channel, payload.get("chaos"))
-        try:
-            verdict = runtime.check(payload)
-        except Exception as error:  # noqa: BLE001 — stay up, report
-            channel.send(wire.encode_frame(
-                wire.MSG_ERROR, wire.error_message(
-                    payload["seq"], str(error),
-                    type(error).__name__)))
-            continue
-        channel.send(wire.encode_frame(wire.MSG_VERDICT, verdict))
+        channel.send(wire.encode_frame(wire.MSG_VERDICT,
+                                       runtime.check(payload)))
     channel.close()
 
 
@@ -271,6 +275,6 @@ def socket_worker_main(host: str, port: int, init: WorkerInit) -> None:
                           corpus=init.corpus, options=init.options,
                           fault_plan=init.fault_plan,
                           retry_policy=init.retry_policy,
-                          use_cache=init.use_cache,
+                          cache=init.cache,
                           start_method=init.start_method)
     client.run()

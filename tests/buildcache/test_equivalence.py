@@ -73,6 +73,15 @@ class TestParallelCached:
         assert result.cache_stats is not None
         assert result.cache_stats.kind("preprocess").probes > 0
 
+    def test_warm_cache_reaches_the_workers(self, corpus):
+        """Workers start from the session's cache, so a second jobs run
+        over the first run's cache hits what that run stored."""
+        shared = BuildCache()
+        EvaluationSession(corpus, cache=shared).run(limit=30)
+        warm = EvaluationSession(corpus, cache=shared).run(limit=30,
+                                                           jobs=3)
+        assert warm.cache_stats.kind("object").hits > 0
+
 
 class TestProbeClockPolicy:
     def test_probe_clock_keeps_verdicts_compresses_time(self, corpus,

@@ -11,8 +11,10 @@ import sys
 
 import pytest
 
+from repro.evalsuite import runner
 from repro.evalsuite.runner import EvaluationSession
 from repro.obs.export import chrome_trace, span_count, write_chrome_trace
+from repro.service.service import ServiceConfig
 
 
 @pytest.fixture(scope="module")
@@ -24,6 +26,39 @@ def corpus(small_corpus):
 @pytest.fixture(scope="module")
 def observed(corpus):
     return EvaluationSession(corpus, observe=True).run(limit=12)
+
+
+#: span attributes that legitimately differ between drivers: the lane,
+#: and cache hits (each worker warms its own copy of the cache)
+VOLATILE = ("worker", "cached", "cache_hits")
+
+
+def assert_trees_match(a, b):
+    """Rebased span trees agree up to last-bit sim-time drift."""
+    assert a["name"] == b["name"]
+    assert a["status"] == b["status"]
+    assert a["sim_start"] == pytest.approx(b["sim_start"])
+    assert a["sim_duration"] == pytest.approx(b["sim_duration"])
+    a_attrs = {k: v for k, v in a.get("attributes", {}).items()
+               if k not in VOLATILE}
+    b_attrs = {k: v for k, v in b.get("attributes", {}).items()
+               if k not in VOLATILE}
+    assert a_attrs == b_attrs
+    a_kids = a.get("children", [])
+    b_kids = b.get("children", [])
+    assert len(a_kids) == len(b_kids)
+    for a_kid, b_kid in zip(a_kids, b_kids):
+        assert_trees_match(a_kid, b_kid)
+
+
+def assert_counters_match(a, b):
+    """Integer counters agree exactly; histogram sums are float
+    accumulations and may drift in the last bit, so compare counts."""
+    assert a.to_dict()["counters"] == b.to_dict()["counters"]
+    for name, histogram in a.to_dict()["histograms"].items():
+        serial = b.to_dict()["histograms"][name]
+        assert histogram["counts"] == serial["counts"]
+        assert histogram["sum"] == pytest.approx(serial["sum"])
 
 
 class TestObservedRun:
@@ -100,39 +135,13 @@ class TestParallelObservation:
         parallel = EvaluationSession(corpus, observe=True).run(limit=12,
                                                               jobs=2)
         assert len(parallel.span_trees) == len(observed.span_trees)
-        volatile = ("worker", "cached", "cache_hits")
-
-        def compare(a, b):
-            assert a["name"] == b["name"]
-            assert a["status"] == b["status"]
-            assert a["sim_start"] == pytest.approx(b["sim_start"])
-            assert a["sim_duration"] == pytest.approx(b["sim_duration"])
-            a_attrs = {k: v for k, v in a.get("attributes", {}).items()
-                       if k not in volatile}
-            b_attrs = {k: v for k, v in b.get("attributes", {}).items()
-                       if k not in volatile}
-            assert a_attrs == b_attrs
-            a_kids = a.get("children", [])
-            b_kids = b.get("children", [])
-            assert len(a_kids) == len(b_kids)
-            for a_kid, b_kid in zip(a_kids, b_kids):
-                compare(a_kid, b_kid)
-
         for a, b in zip(parallel.span_trees, observed.span_trees):
-            compare(a, b)
+            assert_trees_match(a, b)
 
     def test_parallel_counters_match_serial(self, corpus, observed):
         parallel = EvaluationSession(corpus, observe=True).run(limit=12,
                                                               jobs=2)
-        # integer counters must agree exactly; histogram sums are float
-        # accumulations and may drift in the last bit, so compare counts
-        assert parallel.metrics.to_dict()["counters"] == \
-            observed.metrics.to_dict()["counters"]
-        for name, histogram in \
-                parallel.metrics.to_dict()["histograms"].items():
-            serial = observed.metrics.to_dict()["histograms"][name]
-            assert histogram["counts"] == serial["counts"]
-            assert histogram["sum"] == pytest.approx(serial["sum"])
+        assert_counters_match(parallel.metrics, observed.metrics)
 
     def test_parallel_verdicts_unchanged_by_observation(self, corpus):
         """The acceptance surface: observe on/off at the same jobs."""
@@ -140,6 +149,46 @@ class TestParallelObservation:
         observed = EvaluationSession(corpus, observe=True).run(limit=12,
                                                               jobs=2)
         assert observed.canonical_records() == plain.canonical_records()
+
+
+class TestServiceObservation:
+    def test_every_service_run_is_observed(self, corpus, observed):
+        """``service=True`` (the in-process asyncio transport) returns
+        one tree per commit and the serial run's pipeline counters."""
+        result = EvaluationSession(corpus, observe=True).run(
+            limit=12, service=True)
+        assert result.span_trees is not None
+        assert len(result.span_trees) == len(result.patches) == \
+            len(observed.span_trees)
+        for index, (a, b) in enumerate(zip(result.span_trees,
+                                           observed.span_trees)):
+            assert a["attributes"]["commit.index"] == index
+            assert a["attributes"]["worker"] == 0  # one in-process lane
+            assert_trees_match(a, b)
+        assert_counters_match(result.metrics, observed.metrics)
+        assert not [name for name in result.metrics.to_dict()["counters"]
+                    if name.startswith("service.")]
+
+    def test_the_service_keeps_no_spans(self, corpus, monkeypatch):
+        """The tracer the runner hands the service only asks for span
+        trees: after an observed ``run(jobs=2)`` it holds no root spans,
+        and a config the caller passed is left as it was."""
+        tracers = []
+
+        class RecordingTracer(runner.Tracer):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                tracers.append(self)
+
+        monkeypatch.setattr(runner, "Tracer", RecordingTracer)
+        EvaluationSession(corpus, observe=True).run(limit=12, jobs=2)
+        assert len(tracers) == 1
+        assert tracers[0].roots == []
+
+        config = ServiceConfig()
+        EvaluationSession(corpus, observe=True).run(limit=4,
+                                                    service=config)
+        assert config.tracer is None
 
 
 class TestChromeExport:

@@ -239,3 +239,32 @@ class TestJournalDedup:
         assert resumed.canonical_records() == \
             reference.canonical_records()
         assert resumed.journal_stats["resumed"] == len(keys)
+
+    def test_jobs_run_is_supervised_and_deduplicated(self, tmp_path,
+                                                     small_corpus):
+        """``run(jobs=2)`` checks on the mp transport's supervised
+        workers. The plan kills every slot's first pickup, so at least
+        one worker dies whichever slot starts first; its commits are
+        requeued, the records match the sequential run, and the WAL
+        holds one verdict per commit."""
+        plan = FaultPlan(seed="chaos-transport",
+                         specs=[FaultSpec(kind=KIND_WORKER_KILL,
+                                          path="pickup-1")])
+        journal = str(tmp_path / "verdicts-jobs.jsonl")
+        reference = EvaluationSession(small_corpus,
+                                      fault_plan=plan).run(limit=LIMIT)
+        faulted = EvaluationSession(small_corpus, fault_plan=plan).run(
+            limit=LIMIT, jobs=2, journal=journal)
+        assert faulted.canonical_records() == \
+            reference.canonical_records()
+        assert faulted.service_stats["transport"]["kind"] == "mp"
+        supervisor = faulted.service_stats["supervisor"]
+        assert supervisor["crashes_detected"] == \
+            supervisor["restarts"] >= 1
+
+        from repro.journal.wal import Journal
+        replay = Journal(journal).replay()
+        keys = [entry["k"] for entry in replay.records
+                if "k" in entry]
+        assert len(keys) == LIMIT
+        assert len(keys) == len(set(keys))

@@ -33,6 +33,7 @@ from repro.obs.events import (
     EVENT_AUTH_REJECTED,
     EVENT_LEASE_EXPIRED,
     EVENT_LEASE_FENCED,
+    EVENT_WORKER_RECONNECT,
     EVENT_WORKER_REGISTERED,
     EVENT_WORKER_REJOINED,
     EventLog,
@@ -89,7 +90,7 @@ class TestHandshakeMessages:
             wire.encode_frame(wire.MSG_WELCOME, payload)
 
     def test_work_and_verdict_frames_require_lease(self):
-        payload = wire.work_message(1, "r-1", "c-1")
+        payload = wire.work_message([wire.work_item(1, "r-1", "c-1")])
         assert payload["lease"] == 0  # pipe transports stay valid
         del payload["lease"]
         with pytest.raises(WireSchemaError):
@@ -413,6 +414,25 @@ class TestNetPartition:
         rejoined = events.events(EVENT_WORKER_REJOINED)[0]
         assert rejoined.attrs["worker"] == 0
         assert rejoined.attrs["lease"] >= 2  # epoch bumped on rejoin
+
+    def test_reconnect_event_rides_home_with_its_attributes(
+            self, small_corpus, checkable_commits, reference_records):
+        """The client's reconnect event reaches the coordinator's event
+        log on its next verdict, lease and reconnect count included
+        (one worker, so the rejoined session serves the rest)."""
+        service, events, results = run_chaos(
+            small_corpus, checkable_commits[:LIMIT], jobs=1,
+            plan=first_pickup_plan(KIND_NET_PARTITION),
+            heartbeat_seconds=0.05, lease_seconds=1.0,
+            reconnect_grace_seconds=5.0)
+        assert [result.record for result in results] == \
+            reference_records
+        rejoined = events.events(EVENT_WORKER_REJOINED)[0]
+        reconnect = events.events(EVENT_WORKER_RECONNECT)
+        assert len(reconnect) == 1
+        assert reconnect[0].attrs == {"worker": 0,
+                                      "lease": rejoined.attrs["lease"],
+                                      "reconnects": 1}
 
     def test_partition_without_grace_is_a_crash(
             self, small_corpus, checkable_commits, reference_records):

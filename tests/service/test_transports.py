@@ -10,10 +10,17 @@ import asyncio
 
 import pytest
 
+from repro.core.report import PatchReport
+from repro.obs.events import EVENT_WORKER_REQUEUE, EventLog
 from repro.service.request import CheckRequest
 from repro.service.service import START_METHODS, CheckService, ServiceConfig
+from repro.service.transport import wire
 from repro.service.transport.base import TRANSPORT_KINDS, create_transport
-from repro.service.transport.remote import RemoteTransport, SupervisorConfig
+from repro.service.transport.remote import (
+    MAX_BATCH,
+    RemoteTransport,
+    SupervisorConfig,
+)
 
 LIMIT = 3
 
@@ -132,6 +139,15 @@ class TestRemoteTransports:
         assert any(name.startswith("build.") for name in counters), (
             "no worker-side build counters reached the coordinator")
 
+    def test_worker_cache_probes_reach_the_service(
+            self, spawn_safe_corpus, checkable_commits, transport):
+        """Each VERDICT frame's cache-stats delta merges into the
+        service's cache, so its counters see the workers' probes."""
+        service, _ = run_transport(
+            spawn_safe_corpus, checkable_commits[:LIMIT],
+            ServiceConfig(transport=transport, jobs=2))
+        assert service.cache.stats.kind("preprocess").probes > 0
+
     def test_drain_is_idempotent_and_clean(self, spawn_safe_corpus,
                                            checkable_commits,
                                            transport):
@@ -175,6 +191,152 @@ class TestDrainRace:
             await asyncio.wait_for(transport.drain(), timeout=5)
 
         asyncio.run(main())
+
+
+class _ScriptedWorker:
+    """A slot channel whose worker answers only when the test says so.
+
+    It records each WORK frame it is sent and how many of its frames,
+    that one included, were then unanswered; ``answer()`` replies to
+    every frame not yet answered, ``die()`` reads as EOF — a lost
+    worker.
+    """
+
+    def __init__(self, slot) -> None:
+        self.slot = slot
+        self.frames: list[dict] = []
+        self.held: list[int] = []
+        self.answered = 0
+        self.replies: asyncio.Queue = asyncio.Queue()
+
+    async def send(self, frame: bytes) -> None:
+        msg_type, payload, _ = wire.decode_frame(frame)
+        if msg_type == wire.MSG_WORK:
+            self.frames.append(payload)
+            self.held.append(len(self.frames) - self.answered)
+
+    async def recv_message(self):
+        return await self.replies.get()
+
+    def answer(self) -> None:
+        for frame in self.frames[self.answered:]:
+            items = [wire.verdict_item(
+                item["seq"], item["request_id"], item["commit_id"],
+                report=PatchReport(commit_id=item["commit_id"]))
+                for item in frame["items"]]
+            self.replies.put_nowait((wire.MSG_VERDICT, wire.verdict_message(
+                frame["seq"], items, metrics={}, cache=None, events=[],
+                worker_id=self.slot.index)))
+        self.answered = len(self.frames)
+
+    def die(self) -> None:
+        self.replies.put_nowait(None)
+
+    def close(self) -> None:
+        pass
+
+
+class _ScriptedTransport(RemoteTransport):
+    """Slots whose workers are :class:`_ScriptedWorker` channels; every
+    slot says HELLO when the test sets ``hello``."""
+
+    kind = "scripted"
+
+    def _spawn(self, slot) -> None:
+        slot.process = None
+        slot.channel = _ScriptedWorker(slot)
+        self.workers.append(slot.channel)
+
+    async def _connect(self, slot) -> None:
+        await self.hello
+
+
+class TestBatchDispatch:
+    """The dispatch rule: a slot takes ``max(1, (1 + queued) // (jobs *
+    4))`` assignments, at most ``MAX_BATCH``, per WORK frame, and sends
+    its next frame only after the reply to the last one."""
+
+    def _run(self, small_corpus, queued, script):
+        events = EventLog()
+        transport = _ScriptedTransport(CheckService(
+            small_corpus, config=ServiceConfig(transport="mp", jobs=2,
+                                               events=events),
+            cache=False))
+        transport.workers = []
+
+        async def main():
+            transport.hello = asyncio.get_running_loop().create_future()
+            await transport.start()
+            tasks = [asyncio.ensure_future(transport.run_request(
+                CheckRequest(commit_id=f"c-{index}",
+                             request_id=f"r-{index}")))
+                for index in range(queued)]
+            await asyncio.sleep(0)  # every request is queued
+            transport.hello.set_result(None)
+            for _ in range(5):
+                await asyncio.sleep(0)  # slots take and send
+            await script(transport)
+            while not all(task.done() for task in tasks):
+                for worker in transport.workers:
+                    worker.answer()
+                await asyncio.sleep(0.001)
+            await transport.drain()
+            return [task.result().report.commit_id for task in tasks]
+
+        delivered = asyncio.run(main())
+        assert delivered == [f"c-{index}" for index in range(queued)]
+        return transport, events
+
+    @staticmethod
+    def _sizes(transport):
+        return [len(frame["items"]) for worker in transport.workers
+                for frame in worker.frames]
+
+    @staticmethod
+    async def _no_script(transport):
+        pass
+
+    def test_short_queue_sends_one_commit_per_frame(self, small_corpus):
+        transport, _ = self._run(small_corpus, 3, self._no_script)
+        assert self._sizes(transport) == [1, 1, 1]
+        assert max(held for worker in transport.workers
+                   for held in worker.held) == 1
+
+    def test_long_queue_batches_one_frame_at_a_time(self, small_corpus):
+        transport, _ = self._run(small_corpus, 64, self._no_script)
+        # 64 queued -> 64 // 8 = 8; the second slot sees 56 -> 7
+        assert [worker.frames[0]["seq"] for worker in
+                transport.workers] == [1, 9]
+        assert [len(worker.frames[0]["items"]) for worker in
+                transport.workers] == [8, 7]
+        assert max(held for worker in transport.workers
+                   for held in worker.held) == 1
+        assert sum(self._sizes(transport)) == 64
+
+    def test_deep_queue_batches_are_capped(self, small_corpus):
+        transport, _ = self._run(small_corpus, 1000, self._no_script)
+        sizes = self._sizes(transport)
+        # 1000 // 8 = 125, cut to the cap
+        assert sizes[0] == max(sizes) == MAX_BATCH
+        assert sum(sizes) == 1000
+
+    def test_lost_slot_requeues_its_batch_once(self, small_corpus):
+        lost = []
+
+        async def script(transport):
+            worker = transport.workers[0]
+            lost.extend(item["request_id"] for frame in worker.frames
+                        for item in frame["items"])
+            worker.die()
+            await asyncio.sleep(0.05)  # detect, requeue, restart
+
+        transport, events = self._run(small_corpus, 64, script)
+        assert len(lost) == 8
+        requeued = [event.request_id
+                    for event in events.events(EVENT_WORKER_REQUEUE)]
+        assert sorted(requeued) == sorted(lost)
+        assert transport.requeued_jobs == len(lost)
+        assert transport.crashes_detected == 1
 
 
 class TestStartMethods:

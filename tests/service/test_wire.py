@@ -4,8 +4,9 @@ The codec's contract is total: every frame either decodes to exactly
 the message that was encoded, or raises a *typed* wire error — there
 is no input that silently yields a different message, a partial
 message, or nothing. Hypothesis drives that claim through arbitrary
-messages, arbitrary chunkings, truncation at every byte boundary, and
-single-bit flips at every position.
+messages — batched WORK and VERDICT frames of 1-16 items included —
+arbitrary chunkings, truncation at every byte boundary, and single-bit
+flips at every position.
 """
 
 import struct
@@ -55,6 +56,32 @@ _archs = st.sampled_from(["x86_64", "arm64", "powerpc", "riscv",
                           "mips", "sparc"])
 
 
+_options = (st.none() | st.just(JMakeOptions()) |
+            st.builds(JMakeOptions, batch_limit=st.integers(1, 99),
+                      use_configs=st.booleans(),
+                      use_allmodconfig=st.booleans(),
+                      selection_seed=_names))
+_chaos = st.none() | st.sampled_from(
+    ["worker_kill", "socket_drop", "worker_hang"])
+#: serialized span trees are plain JSON objects
+_span_trees = st.none() | st.dictionaries(_names, _json, max_size=4)
+
+
+@st.composite
+def work_batches(draw):
+    """(type, payload) for a WORK frame of 1-16 commits, each with its
+    own seq, ids and options."""
+    first = draw(st.integers(min_value=1, max_value=2**31))
+    items = [wire.work_item(first + offset, draw(_names), draw(_names),
+                            options=draw(_options))
+             for offset in range(draw(st.integers(min_value=1,
+                                                  max_value=16)))]
+    return wire.MSG_WORK, wire.work_message(
+        items, chaos=draw(_chaos),
+        lease=draw(st.integers(min_value=0, max_value=2**20)),
+        trace=draw(st.booleans()))
+
+
 @st.composite
 def control_messages(draw):
     """(type, payload) for HELLO/WORK/ERROR/SHUTDOWN frames."""
@@ -66,12 +93,7 @@ def control_messages(draw):
             draw(st.sampled_from(["fork", "spawn", "forkserver"])),
             tree_id=draw(_names))
     if kind == "work":
-        return wire.MSG_WORK, wire.work_message(
-            draw(st.integers(min_value=1, max_value=2**31)),
-            draw(_names), draw(_names),
-            options=draw(st.none() | st.just(JMakeOptions())),
-            chaos=draw(st.none() | st.sampled_from(
-                ["worker_kill", "socket_drop", "worker_hang"])))
+        return draw(work_batches())
     if kind == "error":
         return wire.MSG_ERROR, wire.error_message(
             draw(st.integers(min_value=1, max_value=2**31)),
@@ -139,6 +161,40 @@ def patch_reports(draw):
     return report
 
 
+@st.composite
+def verdict_batches(draw):
+    """(reports, VERDICT payload) for a batch of 1-16 commits: each a
+    full report with an optional span tree, or a failed check."""
+    first = draw(st.integers(min_value=1, max_value=2**31))
+    reports, items = [], []
+    for offset in range(draw(st.integers(min_value=1, max_value=16))):
+        if draw(st.integers(min_value=0, max_value=5)) == 0:
+            reports.append(None)
+            items.append(wire.verdict_item(
+                first + offset, draw(_names), draw(_names),
+                error={"error": draw(st.text(max_size=20)),
+                       "kind": draw(_names)}))
+            continue
+        report = draw(patch_reports())
+        reports.append(report)
+        items.append(wire.verdict_item(
+            first + offset, draw(_names), report.commit_id,
+            report=report,
+            quarantine=draw(st.dictionaries(_archs, _names,
+                                            max_size=2)),
+            span_tree=draw(_span_trees)))
+    payload = wire.verdict_message(
+        first, items,
+        metrics={"counters": draw(st.dictionaries(
+            _names, st.integers(min_value=0, max_value=999),
+            max_size=3))},
+        cache=draw(st.none() | st.just({"counters": {
+            "cache.preprocess.hits": 3}})),
+        events=[], worker_id=draw(st.integers(min_value=0, max_value=8)),
+        lease=draw(st.integers(min_value=0, max_value=2**20)))
+    return reports, payload
+
+
 # -- round-trip identity ----------------------------------------------------
 
 class TestRoundTrip:
@@ -173,12 +229,12 @@ class TestRoundTrip:
         payload = wire.report_to_wire(report)
         frame = wire.encode_frame(
             wire.MSG_VERDICT,
-            wire.verdict_message(1, "req", report.commit_id,
-                                 report=report, quarantine={},
-                                 metrics={}, events=[],
-                                 worker_id=0))
+            wire.verdict_message(1, [wire.verdict_item(
+                1, "req", report.commit_id, report=report)],
+                metrics={}, cache=None, events=[], worker_id=0))
         _, decoded_payload, _ = wire.decode_frame(frame)
-        rebuilt = wire.report_from_wire(decoded_payload["report"])
+        rebuilt = wire.report_from_wire(
+            decoded_payload["items"][0]["report"])
         assert rebuilt.to_dict() == report.to_dict()
         assert rebuilt.elapsed_seconds == report.elapsed_seconds
         assert rebuilt.invocation_durations == \
@@ -190,6 +246,39 @@ class TestRoundTrip:
         # and independently of framing:
         assert wire.report_from_wire(payload).to_dict() == \
             report.to_dict()
+
+    @given(batch=verdict_batches())
+    @settings(max_examples=25, deadline=None)
+    def test_verdict_batches_round_trip(self, batch):
+        """A VERDICT batch decodes to exactly what was sent, and every
+        item's report rebuilds losslessly, in the WORK frame's order."""
+        reports, payload = batch
+        frame = wire.encode_frame(wire.MSG_VERDICT, payload)
+        msg_type, decoded, end = wire.decode_frame(frame)
+        assert (msg_type, decoded, end) == \
+            (wire.MSG_VERDICT, payload, len(frame))
+        assert decoded["seq"] == decoded["items"][0]["seq"]
+        for report, item in zip(reports, decoded["items"]):
+            if report is None:
+                assert item["report"] is None
+                assert item["error"] is not None
+                continue
+            assert item["error"] is None
+            rebuilt = wire.report_from_wire(item["report"])
+            assert rebuilt.to_dict() == report.to_dict()
+            assert rebuilt.invocation_durations == \
+                report.invocation_durations
+
+    @given(message=work_batches())
+    @settings(max_examples=40, deadline=None)
+    def test_work_batches_keep_per_item_options(self, message):
+        msg_type, payload = message
+        _, decoded, _ = wire.decode_frame(
+            wire.encode_frame(msg_type, payload))
+        assert decoded["seq"] == decoded["items"][0]["seq"]
+        for sent, got in zip(payload["items"], decoded["items"]):
+            assert wire.options_from_wire(got["options"]) == \
+                wire.options_from_wire(sent["options"])
 
     def test_options_round_trip(self):
         options = JMakeOptions()
@@ -285,6 +374,43 @@ class TestSchemaValidation:
     def test_missing_required_fields(self, msg_type, payload):
         with pytest.raises(WireSchemaError):
             wire.encode_frame(msg_type, payload)
+
+    def test_work_frame_without_items_rejected(self):
+        payload = wire.work_message([])
+        with pytest.raises(WireSchemaError):
+            wire.encode_frame(wire.MSG_WORK, payload)
+        payload["items"] = None
+        with pytest.raises(WireSchemaError):
+            wire.validate_message(wire.MSG_WORK, payload)
+
+    def test_work_item_missing_commit_id_rejected(self):
+        payload = wire.work_message([wire.work_item(1, "r-1", "c-1"),
+                                   wire.work_item(2, "r-2", "c-2")])
+        del payload["items"][1]["commit_id"]
+        with pytest.raises(WireSchemaError, match="item 1"):
+            wire.encode_frame(wire.MSG_WORK, payload)
+        # the decode side validates too: a peer cannot smuggle it in
+        body = wire.encode_payload(payload)
+        header = struct.pack(">4sBBII", wire.MAGIC, wire.WIRE_VERSION,
+                             wire.MSG_WORK, len(body),
+                             wire._frame_crc(wire.MSG_WORK, len(body),
+                                             body))
+        with pytest.raises(WireSchemaError):
+            wire.decode_frame(header + body)
+
+    def test_version_2_frame_refused(self):
+        """A well-formed frame of the previous (one-commit) wire
+        version is refused, never misread as a batch."""
+        assert wire.WIRE_VERSION == 3
+        body = wire.encode_payload({
+            "seq": 1, "request_id": "r", "commit_id": "c",
+            "options": None, "chaos": None, "lease": 0})
+        crc = zlib.crc32(body, zlib.crc32(struct.pack(
+            ">BBI", 2, wire.MSG_WORK, len(body))))
+        frame = struct.pack(">4sBBII", wire.MAGIC, 2, wire.MSG_WORK,
+                            len(body), crc) + body
+        with pytest.raises(FrameCorruptError, match="wire version 2"):
+            wire.decode_frame(frame)
 
     def test_unknown_options_field_rejected(self):
         with pytest.raises(WireSchemaError):
