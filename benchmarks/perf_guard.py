@@ -30,14 +30,34 @@ one invocation can guard several suites::
 
 With no flags the guard defaults to the substrate pair alone (the
 pre-existing CI contract).
+
+The ``e2e`` suite guards the end-to-end benchmark instead. Its
+baseline, ``benchmarks/BENCH_e2e.json``, holds the parent and change
+medians of ``e2ebench/run.py`` per workload and seed; its fresh file
+is the saved output of one run::
+
+    python3 e2ebench/run.py --workload window_warm --seed 1 \
+        --seconds 8 > warm.txt
+    python benchmarks/perf_guard.py \
+        --baseline benchmarks/BENCH_e2e.json --fresh warm.txt
+
+The run's ``e2ebench <workload> seed=<n>:`` line names the row. The
+guard fails when the run's last line says ``correct`` is false, or when
+an end-to-end metric is worse than the row's change median by more
+than that metric's ``BENCHMARK.json`` bound. Those are reference-speed
+figures from one machine: run it on the machine the row was measured
+on, not on shared CI runners.
 """
 
 import argparse
 import json
 import pathlib
+import re
 import sys
 
 HERE = pathlib.Path(__file__).parent
+#: the end-to-end metrics and their bounds
+BENCHMARK_SPEC = HERE.parent / "BENCHMARK.json"
 
 #: per-suite guard configuration. ``stages`` lists the stage names whose
 #: normalized throughput must not regress (reference stages measure the
@@ -107,9 +127,57 @@ def _write_baseline(baseline_path: pathlib.Path,
     print(f"baseline written to {baseline_path}")
 
 
+def _guard_e2e(baseline_payload: dict, fresh_path: pathlib.Path) -> list:
+    """Check one saved ``e2ebench/run.py`` output against its row."""
+    try:
+        lines = fresh_path.read_text().splitlines()
+    except FileNotFoundError:
+        sys.exit(f"perf_guard: missing {fresh_path} "
+                 f"(save the output of e2ebench/run.py first)")
+    header = next((re.match(r"e2ebench (\w+) seed=(\d+):", line)
+                   for line in lines
+                   if line.startswith("e2ebench ")), None)
+    if header is None:
+        return [f"{fresh_path}: not an e2ebench/run.py output"]
+    workload, seed = header.group(1), int(header.group(2))
+    result = json.loads(lines[-1])
+    row = next((row for row in baseline_payload["rows"]
+                if row["workload"] == workload and row["seed"] == seed),
+               None)
+    if row is None:
+        return [f"{fresh_path}: no committed row for {workload} "
+                f"seed {seed}"]
+    print(f"suite e2e: {workload} seed {seed} vs {fresh_path}")
+    failures = []
+    if not result["correct"]:
+        failures.append(f"{workload} seed {seed}: {result['failed']} of "
+                        f"{result['attempted']} verdicts failed")
+    spec = json.loads(BENCHMARK_SPEC.read_text())
+    for metric in spec["end_to_end"]:
+        name, bound = metric["name"], metric["bound"]
+        want = row["change"][name]
+        got = result["metrics"][name]["value"]
+        if metric["better"] == "higher":
+            limit = want * (1.0 - bound)
+            worse = got < limit
+        else:
+            limit = want * (1.0 + bound)
+            worse = got > limit
+        verdict = "REGRESSED" if worse else "ok"
+        print(f"{name:28} change={want:10.4f} fresh={got:10.4f} "
+              f"limit={limit:10.4f}  {verdict}")
+        if worse:
+            failures.append(
+                f"{workload} seed {seed} {name}: {got:.4f} is worse than "
+                f"the committed {want:.4f} by more than {bound:.0%}")
+    return failures
+
+
 def _guard_pair(baseline_path: pathlib.Path, fresh_path: pathlib.Path,
                 tolerance: float) -> list:
     baseline_payload = _load(baseline_path)
+    if baseline_payload.get("suite") == "e2e":
+        return _guard_e2e(baseline_payload, fresh_path)
     fresh_payload = _load(fresh_path)
     suite = fresh_payload.get("suite",
                               baseline_payload.get("suite", DEFAULT_SUITE))

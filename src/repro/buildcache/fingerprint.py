@@ -92,9 +92,9 @@ def compile_environment(architecture, config, *,
                         modular: bool) -> CompileEnvironment:
     """The shared environment record for this content.
 
-    Keyed by content, never by object identity: the toolchain registry
-    rebuilds its architectures for each check and configurations come
-    back from the build cache as fresh objects.
+    Keyed by content, never by object identity: a registry may hold
+    architectures other than the shared defaults, and configurations
+    come back from the build cache as fresh objects.
     """
     key = (architecture.name, architecture.bits,
            tuple(architecture.builtin_macros.items()),

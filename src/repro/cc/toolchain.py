@@ -19,6 +19,8 @@ architecture-dependent in the substrate:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import MappingProxyType
+from typing import Mapping
 
 from repro.errors import ToolchainError
 
@@ -53,13 +55,23 @@ def arch_directory(name: str) -> str:
 
 @dataclass(frozen=True)
 class Architecture:
-    """One buildable target."""
+    """One buildable target; immutable, so registries can share it."""
 
     name: str
     bits: int = 64
-    builtin_macros: dict[str, str] = field(default_factory=dict)
+    builtin_macros: Mapping[str, str] = field(default_factory=dict)
     include_roots: tuple[str, ...] = ()
     works: bool = True
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "builtin_macros",
+                           MappingProxyType(dict(self.builtin_macros)))
+
+    def __reduce__(self):
+        # mappingproxy objects refuse to pickle: rebuild from a dict
+        return (Architecture, (self.name, self.bits,
+                               dict(self.builtin_macros),
+                               self.include_roots, self.works))
 
     @property
     def directory(self) -> str:
@@ -95,25 +107,30 @@ def _default_architecture(name: str, works: bool) -> Architecture:
     )
 
 
+#: The make.cross matrix, built once per process and shared by every
+#: default registry (an :class:`Architecture` is immutable).
+_DEFAULT_ARCHITECTURES: tuple[Architecture, ...] = tuple(
+    [_default_architecture(name, works=True)
+     for name in WORKING_ARCHITECTURES]
+    + [_default_architecture(name, works=False)
+       for name in BROKEN_ARCHITECTURES])
+
+
 class ToolchainRegistry:
     """All toolchains known to ``make.cross``, working or not.
 
     ``host`` names the architecture of the developer's machine — the
     paper's experiments ran on x86_64 and JMake tries a plain ``make``
-    (native toolchain) first.
+    (native toolchain) first. Each registry holds its own name table,
+    so :meth:`register` on one is never seen by another.
     """
 
     def __init__(self, host: str = "x86_64",
                  architectures: list[Architecture] | None = None) -> None:
         self._architectures: dict[str, Architecture] = {}
-        if architectures is None:
-            for name in WORKING_ARCHITECTURES:
-                self.register(_default_architecture(name, works=True))
-            for name in BROKEN_ARCHITECTURES:
-                self.register(_default_architecture(name, works=False))
-        else:
-            for architecture in architectures:
-                self.register(architecture)
+        for architecture in (_DEFAULT_ARCHITECTURES if architectures is None
+                             else architectures):
+            self.register(architecture)
         if host not in self._architectures:
             raise ToolchainError(f"unknown host architecture: {host}")
         self._host = host

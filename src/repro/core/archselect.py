@@ -27,6 +27,7 @@ commits, while the variables differ for every selected file.
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import lru_cache
 from types import MappingProxyType
@@ -122,7 +123,11 @@ class ArchSelection:
 
 
 class ArchSelector:
-    """Implements the §III-C candidate-selection heuristics."""
+    """Implements the §III-C candidate-selection heuristics.
+
+    ``path_lister`` returns the tree's paths sorted, as
+    :meth:`Worktree.paths` does; ``provider`` reads one file's text.
+    """
     def __init__(self, build_system: BuildSystem,
                  path_lister: Callable[[], list[str]],
                  provider: Callable[[str], "str | None"],
@@ -214,13 +219,17 @@ class ArchSelector:
     def _mention_index(self) -> _ArchIndex:
         """The index of this check's arch/ files, each read once."""
         if self._index is None:
+            paths = self._paths()
+            # sorted paths put arch/ in one slice: "0" follows "/"
+            start = bisect_left(paths, "arch/")
+            stop = bisect_left(paths, "arch0", start)
+            provider = self._provider
             files = []
-            for path in self._paths():
-                if not path.startswith("arch/") or path.count("/") < 2:
-                    continue
-                text = self._provider(path)
-                if text is not None:
-                    files.append((path, text))
+            for path in paths[start:stop]:
+                if path.count("/") >= 2:
+                    text = provider(path)
+                    if text is not None:
+                        files.append((path, text))
             self._index = _arch_index(tuple(files))
         return self._index
 

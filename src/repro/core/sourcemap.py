@@ -11,12 +11,20 @@ For each physical line of a file, determine (§III-B):
   mutation groups for ordinary code;
 - does it *begin* in the middle of a comment that ends on the line?
   (the mutation must then be placed after the comment's end).
+
+A physical line's facts depend only on its text and on whether it
+starts inside a block comment, so each distinct (line, entry state)
+pair is classified once (:func:`_line_facts`, a bounded LRU): a mutated
+file shares all but a few lines with its original, and the files of
+one tree share many lines with each other.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
+from typing import NamedTuple
 
 from repro.util.text import split_lines_keepends
 
@@ -53,6 +61,8 @@ class LineInfo:
 
 
 _CONDITIONAL_KEYWORDS = ("if", "ifdef", "ifndef", "elif", "else")
+#: distinct (line, entry state) pairs whose facts are kept
+_LINE_MEMO_SIZE = 4096
 
 
 def _directive_keyword(stripped: str) -> str | None:
@@ -116,58 +126,66 @@ class SourceMap:
         index = 0
         while index < len(physical):
             raw = physical[index]
-            started_in_comment = in_block_comment
-            visible, in_block_comment, end_column = _strip_comment_state(
-                raw, in_block_comment)
-            lineno = index + 1
-
-            if started_in_comment and not visible.strip() \
-                    and in_block_comment:
-                # Entire line inside an unterminated block comment.
+            facts = _line_facts(raw, in_block_comment)
+            in_block_comment = facts.exit_state
+            if facts.line_class is not None:
                 self.lines.append(LineInfo(
-                    lineno=lineno, text=raw, line_class=LineClass.COMMENT))
+                    lineno=index + 1, text=raw, line_class=facts.line_class,
+                    starts_mid_comment=facts.starts_mid_comment,
+                    comment_end_column=facts.comment_end_column))
                 index += 1
                 continue
-            if not visible.strip() and (started_in_comment or
-                                        _is_pure_comment(raw)):
+            # A #define: extend through continuations.
+            end_index = index
+            while end_index < len(physical) - 1 and \
+                    physical[end_index].rstrip(" \t").endswith("\\"):
+                end_index += 1
+            region = MacroRegion(name=facts.macro_name, start=index + 1,
+                                 end=end_index + 1)
+            self.macros.append(region)
+            for offset in range(index, end_index + 1):
                 self.lines.append(LineInfo(
-                    lineno=lineno, text=raw, line_class=LineClass.COMMENT))
-                index += 1
-                continue
+                    lineno=offset + 1, text=physical[offset],
+                    line_class=LineClass.MACRO_DEF, macro=region))
+                # Comment state may change inside the macro body.
+                if offset != index:
+                    in_block_comment = _line_facts(
+                        physical[offset], in_block_comment).exit_state
+            index = end_index + 1
 
-            keyword = _directive_keyword(visible)
-            if keyword == "define":
-                start = lineno
-                # Extend through continuations.
-                end_index = index
-                while end_index < len(physical) - 1 and \
-                        physical[end_index].rstrip(" \t").endswith("\\"):
-                    end_index += 1
-                name = _macro_name(visible)
-                region = MacroRegion(name=name, start=start,
-                                     end=end_index + 1)
-                self.macros.append(region)
-                for offset in range(index, end_index + 1):
-                    self.lines.append(LineInfo(
-                        lineno=offset + 1, text=physical[offset],
-                        line_class=LineClass.MACRO_DEF, macro=region))
-                    # Comment state may change inside the macro body.
-                    if offset != index:
-                        _, in_block_comment, _ = _strip_comment_state(
-                            physical[offset], in_block_comment)
-                index = end_index + 1
-                continue
-            if keyword in _CONDITIONAL_KEYWORDS:
-                line_class = LineClass.CONDITIONAL
-            elif keyword is not None and keyword != "":
-                line_class = LineClass.DIRECTIVE
-            else:
-                line_class = LineClass.CODE
-            self.lines.append(LineInfo(
-                lineno=lineno, text=raw, line_class=line_class,
-                starts_mid_comment=started_in_comment and not in_block_comment,
-                comment_end_column=end_column if started_in_comment else 0))
-            index += 1
+
+class _LineFacts(NamedTuple):
+    """What one physical line is, given its entry comment state."""
+    #: the line's class; None for the first line of a ``#define``
+    line_class: LineClass | None
+    #: inside a block comment after the line
+    exit_state: bool
+    starts_mid_comment: bool
+    comment_end_column: int
+    #: the macro a ``#define`` line defines, else ""
+    macro_name: str
+
+
+@lru_cache(maxsize=_LINE_MEMO_SIZE)
+def _line_facts(raw: str, in_block_comment: bool) -> _LineFacts:
+    """Classify one physical line entered in the given comment state."""
+    visible, exit_state, end_column = _strip_comment_state(
+        raw, in_block_comment)
+    if not visible.strip() and (in_block_comment or _is_pure_comment(raw)):
+        # Entirely inside a comment, or a comment-only line.
+        return _LineFacts(LineClass.COMMENT, exit_state, False, 0, "")
+    keyword = _directive_keyword(visible)
+    if keyword == "define":
+        return _LineFacts(None, exit_state, False, 0, _macro_name(visible))
+    if keyword in _CONDITIONAL_KEYWORDS:
+        line_class = LineClass.CONDITIONAL
+    elif keyword:
+        line_class = LineClass.DIRECTIVE
+    else:
+        line_class = LineClass.CODE
+    return _LineFacts(line_class, exit_state,
+                      in_block_comment and not exit_state,
+                      end_column if in_block_comment else 0, "")
 
 
 def _strip_comment_state(line: str, in_block: bool

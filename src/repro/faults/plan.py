@@ -168,7 +168,10 @@ class FaultSpec:
     site: str = ""
     #: architecture filter; "*" matches every architecture
     arch: str = "*"
-    #: substring filter on the step's path/target; "" matches everything
+    #: filter on the step's path/target; "" matches everything. At build
+    #: and cache sites it is a substring test (``"drivers/"``); at the
+    #: worker site it must equal the pickup label (``"pickup-1"`` is the
+    #: first pickup only, not pickups 10-19)
     path: str = ""
     #: deterministic firing probability per eligible attempt, in [0, 1]
     rate: float = 1.0
@@ -211,7 +214,11 @@ class FaultSpec:
             return False
         if self.arch not in ("*", "") and arch != self.arch:
             return False
-        return not self.path or self.path in path
+        if not self.path:
+            return True
+        if site == SITE_WORKER:
+            return path == self.path
+        return self.path in path
 
     def to_dict(self) -> dict:
         """JSON-ready form (defaults omitted)."""

@@ -72,6 +72,8 @@ _logger = get_logger("service.transport")
 
 #: generous ceiling on worker startup (corpus and cache unpickle)
 HELLO_TIMEOUT_SECONDS = 120.0
+#: how long drain waits for a worker told to SHUTDOWN before killing it
+GRACEFUL_JOIN_SECONDS = 5.0
 
 #: most commits one WORK frame carries, however deep the queue: the
 #: WORK frame stays a few KB, the VERDICT far below
@@ -325,7 +327,8 @@ class RemoteTransport(Transport):
             return
         loop = asyncio.get_running_loop()
         if graceful:
-            await loop.run_in_executor(None, process.join, 5.0)
+            await loop.run_in_executor(None, process.join,
+                                       GRACEFUL_JOIN_SECONDS)
         if process.is_alive():
             process.kill()
             await loop.run_in_executor(None, process.join, 5.0)

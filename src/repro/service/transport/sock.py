@@ -43,7 +43,11 @@ from repro.obs.events import (
 )
 from repro.obs.logcfg import get_logger
 from repro.service.transport import wire
-from repro.service.transport.remote import RemoteTransport, WorkerSlot
+from repro.service.transport.remote import (
+    GRACEFUL_JOIN_SECONDS,
+    RemoteTransport,
+    WorkerSlot,
+)
 from repro.service.transport.worker import socket_worker_main
 
 _logger = get_logger("service.transport")
@@ -80,6 +84,14 @@ class SockParentChannel:
     def close(self) -> None:
         try:
             self._writer.close()
+        except (RuntimeError, OSError):
+            pass
+
+    async def aclose(self) -> None:
+        """Close, then wait until the socket is released."""
+        self.close()
+        try:
+            await self._writer.wait_closed()
         except (RuntimeError, OSError):
             pass
 
@@ -181,6 +193,37 @@ class SocketTransport(RemoteTransport):
     async def _connect(self, slot: WorkerSlot) -> None:
         slot.channel = await slot._connected
 
+    async def _shutdown_slot(self, slot: WorkerSlot) -> None:
+        # drain can stop a slot loop while it waits for its worker's
+        # HELLO. The channel that worker hands over must still get
+        # SHUTDOWN and be closed: wait for a live spawned worker's
+        # handshake as long as a graceful join would, then claim it. A
+        # worker that has not dialed in by then was never told to exit,
+        # so it is killed without a second wait.
+        rendezvous = getattr(slot, "_connected", None)
+        if slot.channel is None and rendezvous is not None:
+            if not rendezvous.done() and slot.process is not None \
+                    and slot.process.is_alive():
+                try:
+                    await asyncio.wait_for(asyncio.shield(rendezvous),
+                                           timeout=GRACEFUL_JOIN_SECONDS)
+                except asyncio.TimeoutError:
+                    pass
+            if not rendezvous.done():
+                rendezvous.cancel()
+                await self._reap(slot)
+                return
+            if not rendezvous.cancelled():
+                slot.channel = rendezvous.result()
+        await super()._shutdown_slot(slot)
+
+    async def _reap(self, slot: WorkerSlot, *,
+                    graceful: bool = False) -> None:
+        channel = slot.channel
+        await super()._reap(slot, graceful=graceful)
+        if channel is not None:
+            await channel.aclose()
+
     # -- the authenticated accept path ---------------------------------
 
     def _slot_for(self, worker_id: int) -> "WorkerSlot | None":
@@ -215,7 +258,7 @@ class SocketTransport(RemoteTransport):
                 wire.MSG_ERROR, wire.error_message(0, reason, kind)))
         except (OSError, ConnectionError):
             pass
-        channel.close()
+        await channel.aclose()
 
     async def _on_connect(self, reader, writer) -> None:
         """Challenge a dialing peer; hand verified channels to slots."""
@@ -223,10 +266,13 @@ class SocketTransport(RemoteTransport):
         try:
             await asyncio.wait_for(self._handshake(channel),
                                    timeout=HANDSHAKE_TIMEOUT_SECONDS)
-        except asyncio.TimeoutError:
+        except (asyncio.TimeoutError, OSError, ConnectionError):
+            await channel.aclose()
+        except asyncio.CancelledError:
+            # the loop is ending mid-handshake: the channel is no
+            # slot's yet, so nobody else would close it
             channel.close()
-        except (OSError, ConnectionError):
-            channel.close()
+            raise
 
     async def _handshake(self, channel: SockParentChannel) -> None:
         nonce = secrets.token_hex(16)
@@ -306,8 +352,8 @@ class SocketTransport(RemoteTransport):
         if self.reconnect_grace <= 0:
             return False
         if slot.channel is not None:
-            slot.channel.close()
-            slot.channel = None
+            channel, slot.channel = slot.channel, None
+            await channel.aclose()
         if self.spawn_workers:
             process = slot.process
             if process is None:

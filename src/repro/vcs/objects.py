@@ -31,13 +31,18 @@ class Signature:
 
 
 class Tree:
-    """An immutable snapshot of the source tree."""
+    """An immutable snapshot of the source tree.
+
+    Files are held in path order, so listing or iterating the paths
+    never sorts them again.
+    """
 
     def __init__(self, files: Mapping[str, str]) -> None:
         for path in files:
             if path.startswith("/") or ".." in path.split("/"):
                 raise ValueError(f"invalid tree path: {path!r}")
-        self._files: Mapping[str, str] = MappingProxyType(dict(files))
+        self._files: Mapping[str, str] = MappingProxyType(
+            dict(sorted(files.items())))
         self._id: str | None = None
 
     def __getstate__(self) -> dict:
@@ -47,7 +52,7 @@ class Tree:
         return {"files": dict(self._files), "id": self._id}
 
     def __setstate__(self, state: dict) -> None:
-        self._files = MappingProxyType(dict(state["files"]))
+        self._files = MappingProxyType(dict(sorted(state["files"].items())))
         self._id = state["id"]
 
     @property
@@ -55,10 +60,10 @@ class Tree:
         """Content hash of the whole snapshot."""
         if self._id is None:
             hasher = hashlib.sha256()
-            for path in sorted(self._files):
+            for path, text in self._files.items():
                 hasher.update(path.encode("utf-8"))
                 hasher.update(b"\0")
-                hasher.update(self._files[path].encode("utf-8"))
+                hasher.update(text.encode("utf-8"))
                 hasher.update(b"\0")
             self._id = hasher.hexdigest()
         return self._id
@@ -74,14 +79,14 @@ class Tree:
         return self._files.get(path, default)
 
     def __iter__(self) -> Iterator[str]:
-        return iter(sorted(self._files))
+        return iter(self._files)
 
     def __len__(self) -> int:
         return len(self._files)
 
     def paths(self) -> list[str]:
         """Sorted file paths."""
-        return sorted(self._files)
+        return list(self._files)
 
     def with_files(self, updates: Mapping[str, str]) -> "Tree":
         """Return a new tree with the given files replaced or added."""
@@ -116,11 +121,10 @@ class Commit:
     author: Signature
     message: str
     parents: tuple[str, ...] = ()
-    _id: str = field(default="", compare=False)
+    #: the content hash, computed once when the commit is made
+    _id: str = field(default="", init=False, repr=False, compare=False)
 
-    @property
-    def id(self) -> str:
-        """Content hash over tree, author, message, parents."""
+    def __post_init__(self) -> None:
         hasher = hashlib.sha256()
         hasher.update(self.tree.id.encode("ascii"))
         hasher.update(str(self.author).encode("utf-8"))
@@ -128,7 +132,12 @@ class Commit:
         hasher.update(self.message.encode("utf-8"))
         for parent in self.parents:
             hasher.update(parent.encode("ascii"))
-        return hasher.hexdigest()
+        object.__setattr__(self, "_id", hasher.hexdigest())
+
+    @property
+    def id(self) -> str:
+        """Content hash over tree, author, message, parents."""
+        return self._id
 
     @property
     def is_merge(self) -> bool:

@@ -229,14 +229,10 @@ class Worktree:
 
     def read(self, path: str) -> str:
         """File text, overlay first; VcsError when absent."""
-        if path in self.overlay:
-            return self.overlay[path]
-        if path in self.untracked:
-            return self.untracked[path]
-        try:
-            return self.commit.tree[path]
-        except KeyError:
-            raise VcsError(f"no such file in worktree: {path}") from None
+        text = self.as_file_provider()(path)
+        if text is None:
+            raise VcsError(f"no such file in worktree: {path}")
+        return text
 
     def exists(self, path: str) -> bool:
         """True when the path is visible in the worktree."""
@@ -268,11 +264,11 @@ class Worktree:
         self.write(file_diff.path, apply_file_diff(old_text, file_diff))
 
     def paths(self) -> list[str]:
-        """Union of committed, overlaid, and untracked paths."""
-        all_paths = set(self.commit.tree.paths())
-        all_paths.update(self.overlay)
-        all_paths.update(self.untracked)
-        return sorted(all_paths)
+        """Union of committed, overlaid, and untracked paths, sorted."""
+        # write() overlays tracked paths only, so the overlay adds none
+        if not self.untracked:
+            return self.commit.tree.paths()
+        return sorted(set(self.commit.tree.paths()).union(self.untracked))
 
     def clean(self) -> None:
         """git clean -dfx: drop generated (untracked) files."""
@@ -284,9 +280,20 @@ class Worktree:
         self.untracked.clear()
 
     def as_file_provider(self):
-        """A ``path -> text`` callable view for the preprocessor."""
+        """A ``path -> text`` callable view for the preprocessor.
+
+        It reads the overlay, then the untracked files, then the
+        committed tree: one lookup per layer.
+        """
+        overlay = self.overlay.get
+        untracked = self.untracked.get
+        committed = self.commit.tree.get
+
         def provider(path: str) -> str | None:
-            if self.exists(path):
-                return self.read(path)
-            return None
+            text = overlay(path)
+            if text is None:
+                text = untracked(path)
+                if text is None:
+                    text = committed(path)
+            return text
         return provider

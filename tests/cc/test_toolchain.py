@@ -1,5 +1,7 @@
 """Tests for the toolchain registry and the make.cross matrix."""
 
+import pickle
+
 import pytest
 
 from repro.cc.toolchain import (
@@ -7,6 +9,7 @@ from repro.cc.toolchain import (
     BROKEN_ARCHITECTURES,
     ToolchainRegistry,
     WORKING_ARCHITECTURES,
+    _default_architecture,
     arch_directory,
 )
 from repro.errors import ToolchainError
@@ -103,3 +106,53 @@ class TestPredefines:
         assert registry.get("arm").predefines()["BITS_PER_LONG"] == "32"
         assert "__LP64__" in registry.get("x86_64").predefines()
         assert "__LP64__" not in registry.get("arm").predefines()
+
+
+class TestSharedArchitectures:
+    """Default registries share one immutable set of architectures."""
+
+    def test_shared_defaults_equal_fresh_ones(self):
+        registry = ToolchainRegistry()
+        for name in WORKING_ARCHITECTURES + BROKEN_ARCHITECTURES:
+            fresh = _default_architecture(
+                name, works=name in WORKING_ARCHITECTURES)
+            shared = registry._architectures[name]
+            assert shared == fresh
+            assert shared.predefines() == fresh.predefines()
+            assert shared.directory == fresh.directory
+
+    def test_registries_share_the_default_objects(self):
+        first, second = ToolchainRegistry(), ToolchainRegistry()
+        assert first.get("arm") is second.get("arm")
+
+    def test_register_is_per_registry(self):
+        first, second = ToolchainRegistry(), ToolchainRegistry()
+        first.register(Architecture(name="toy", bits=32))
+        first.register(Architecture(name="arm", bits=64, works=False))
+        assert "toy" in first.names()
+        assert "toy" not in second.names()
+        assert second.get("arm").bits == 32
+        assert ToolchainRegistry().get("arm").bits == 32
+
+    def test_builtin_macros_refuse_writes(self):
+        arm = ToolchainRegistry().get("arm")
+        with pytest.raises(TypeError):
+            arm.builtin_macros["__evil__"] = "1"
+        assert "__evil__" not in ToolchainRegistry().get("arm").predefines()
+
+    def test_builtin_macros_are_copied_in(self):
+        macros = {"__toy__": "1"}
+        toy = Architecture(name="toy", builtin_macros=macros)
+        macros["__late__"] = "1"
+        assert dict(toy.builtin_macros) == {"__toy__": "1"}
+        with pytest.raises(TypeError):
+            toy.builtin_macros["__late__"] = "1"
+
+    def test_architecture_pickles(self):
+        toy = Architecture(name="toy", bits=32,
+                           builtin_macros={"__toy__": "1"},
+                           include_roots=("include",), works=False)
+        loaded = pickle.loads(pickle.dumps(toy))
+        assert loaded == toy
+        with pytest.raises(TypeError):
+            loaded.builtin_macros["x"] = "1"

@@ -5,11 +5,13 @@ import os
 import pytest
 
 from repro.errors import FaultPlanError
+from repro.faults.inject import FaultInjector
 from repro.faults.plan import (
     BUILTIN_KINDS,
     INJECTION_SITES,
     PIPELINE_SITES,
     PROCESS_SITES,
+    SITE_WORKER,
     FaultPlan,
     FaultSpec,
     unit_draw,
@@ -99,6 +101,24 @@ class TestFaultSpecMatching:
     def test_site_mismatch_never_matches(self):
         spec = FaultSpec(kind="io_error", site="compile")
         assert not spec.matches("preprocess", "arm", "a.c")
+
+    def test_worker_path_is_the_exact_pickup_label(self):
+        spec = FaultSpec(kind="worker_kill", arch="worker-0",
+                         path="pickup-1")
+        assert spec.matches(SITE_WORKER, "worker-0", "pickup-1")
+        for label in ("pickup-10", "pickup-19", "pickup-100", "xpickup-1"):
+            assert not spec.matches(SITE_WORKER, "worker-0", label)
+
+    def test_worker_rule_fires_on_the_first_pickup_only(self):
+        injector = FaultInjector(FaultPlan(
+            seed="exact-pickup",
+            specs=[FaultSpec(kind="worker_kill", arch="worker-0",
+                             path="pickup-1")]))
+        injector.begin_scope("worker-0")
+        fired = [pickup for pickup in range(1, 25)
+                 if injector.fire(SITE_WORKER, arch="worker-0",
+                                  path=f"pickup-{pickup}") is not None]
+        assert fired == [1]
 
 
 class TestSerialization:

@@ -13,6 +13,9 @@ resume under every transport yields exactly one durable verdict per
 commit — crash recovery plus requeue never duplicates or loses one.
 """
 
+import gc
+import warnings
+
 import pytest
 
 from repro.evalsuite.runner import EvaluationSession
@@ -28,6 +31,7 @@ from repro.obs.events import (
     EVENT_SHARD_CRASH,
     EVENT_SHARD_HANG,
     EVENT_SHARD_RESTART,
+    EVENT_WORKER_EXIT,
     EVENT_WORKER_REQUEUE,
     EVENT_WORKER_SPAWNED,
     EventLog,
@@ -239,6 +243,34 @@ class TestJournalDedup:
         assert resumed.canonical_records() == \
             reference.canonical_records()
         assert resumed.journal_stats["resumed"] == len(keys)
+
+    def test_resume_with_nothing_left_closes_every_stream(
+            self, tmp_path, small_corpus):
+        """A resumed socket run with every verdict journaled drains
+        while its workers are still dialing in. Each worker's accepted
+        stream must still get SHUTDOWN and be closed: none may be left
+        to the garbage collector, and no worker may sit out the
+        graceful-join timeout waiting for work."""
+        journal = str(tmp_path / "verdicts-resume.jsonl")
+        EvaluationSession(small_corpus).run(
+            limit=LIMIT, service=ServiceConfig(transport="socket", jobs=2),
+            journal=journal)
+        gc.collect()
+        events = EventLog()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            resumed = EvaluationSession(small_corpus).run(
+                limit=LIMIT, journal=journal, resume=True,
+                service=ServiceConfig(transport="socket", jobs=2,
+                                      events=events))
+            gc.collect()
+        assert resumed.journal_stats["resumed"] == LIMIT
+        leaks = [str(warning.message) for warning in caught
+                 if issubclass(warning.category, ResourceWarning)]
+        assert leaks == []
+        # each worker exited on its SHUTDOWN, none was killed
+        exits = events.events(EVENT_WORKER_EXIT)
+        assert [event.attrs["exitcode"] for event in exits] == [0, 0]
 
     def test_jobs_run_is_supervised_and_deduplicated(self, tmp_path,
                                                      small_corpus):

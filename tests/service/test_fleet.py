@@ -10,7 +10,10 @@ half-open links die by lease expiry, slow links survive on heartbeats
 """
 
 import asyncio
+import multiprocessing
+import signal
 import threading
+import time
 
 import pytest
 
@@ -33,6 +36,7 @@ from repro.obs.events import (
     EVENT_AUTH_REJECTED,
     EVENT_LEASE_EXPIRED,
     EVENT_LEASE_FENCED,
+    EVENT_WORKER_EXIT,
     EVENT_WORKER_RECONNECT,
     EVENT_WORKER_REGISTERED,
     EVENT_WORKER_REJOINED,
@@ -40,7 +44,7 @@ from repro.obs.events import (
 )
 from repro.service.request import CheckRequest
 from repro.service.service import CheckService, ServiceConfig
-from repro.service.transport import wire
+from repro.service.transport import sock, wire
 from repro.service.transport.base import create_transport
 from repro.service.transport.client import ReconnectPolicy, WorkerClient
 from repro.service.transport.remote import SupervisorConfig
@@ -602,3 +606,40 @@ class TestLeaseFencing:
 
         with pytest.raises(TransportError):
             asyncio.run(main())
+
+
+class TestDrainWithoutHandshake:
+    def test_silent_worker_is_killed_without_a_graceful_join(
+            self, small_corpus, monkeypatch):
+        """A spawned worker that never dials in was never sent
+        SHUTDOWN: drain waits one handshake window for it, then kills
+        it rather than joining it for a second window."""
+        monkeypatch.setattr(sock, "GRACEFUL_JOIN_SECONDS", 0.05)
+        events = EventLog()
+        config = ServiceConfig(transport="socket", jobs=1, events=events)
+        transport = create_transport(
+            CheckService(small_corpus, config=config), "socket")
+        slot = transport.slots[0]
+        process = multiprocessing.get_context(transport.start_method) \
+            .Process(target=time.sleep, args=(60,), daemon=True)
+        process.start()
+        slot.process = process
+        reaps = []
+        reap = transport._reap
+
+        async def spy(slot, *, graceful=False):
+            reaps.append(graceful)
+            await reap(slot, graceful=graceful)
+
+        transport._reap = spy
+
+        async def main():
+            slot._connected = asyncio.get_running_loop().create_future()
+            await transport._shutdown_slot(slot)
+            return slot._connected
+
+        rendezvous = asyncio.run(main())
+        assert rendezvous.cancelled()
+        assert reaps == [False]
+        exit_event = events.events(EVENT_WORKER_EXIT)[0]
+        assert exit_event.attrs["exitcode"] == -signal.SIGKILL

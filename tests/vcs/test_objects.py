@@ -1,5 +1,8 @@
 """Tests for trees and commits."""
 
+import hashlib
+import pickle
+
 import pytest
 
 from repro.vcs.objects import Commit, Signature, Tree
@@ -81,3 +84,61 @@ class TestCommit:
         commit = Commit(tree=Tree({}), author=sig(),
                         message="fix: things\n\nLong body.")
         assert commit.subject == "fix: things"
+
+
+def recomputed_commit_id(commit: Commit) -> str:
+    """The commit hash recomputed from its fields on each read."""
+    hasher = hashlib.sha256()
+    hasher.update(commit.tree.id.encode("ascii"))
+    hasher.update(str(commit.author).encode("utf-8"))
+    hasher.update(commit.author.date.encode("utf-8"))
+    hasher.update(commit.message.encode("utf-8"))
+    for parent in commit.parents:
+        hasher.update(parent.encode("ascii"))
+    return hasher.hexdigest()
+
+
+def recomputed_tree_id(files: dict) -> str:
+    """The tree hash over its files in sorted path order."""
+    hasher = hashlib.sha256()
+    for path in sorted(files):
+        hasher.update(path.encode("utf-8"))
+        hasher.update(b"\0")
+        hasher.update(files[path].encode("utf-8"))
+        hasher.update(b"\0")
+    return hasher.hexdigest()
+
+
+class TestStoredIds:
+    def _commits(self):
+        root = Commit(tree=Tree({"b.c": "2", "a.c": "1"}), author=sig(),
+                      message="root\n\nbody")
+        child = Commit(tree=Tree({"a.c": "3"}), author=sig(name="Other"),
+                       message="child", parents=(root.id,))
+        merge = Commit(tree=Tree({}), author=sig(date="2016-01-01"),
+                       message="merge", parents=(root.id, child.id))
+        return [root, child, merge]
+
+    def test_commit_id_equals_the_recomputed_hash(self):
+        for commit in self._commits():
+            assert commit.id == recomputed_commit_id(commit)
+
+    def test_commit_id_survives_pickling(self):
+        for commit in self._commits():
+            loaded = pickle.loads(pickle.dumps(commit))
+            assert loaded.id == commit.id == recomputed_commit_id(loaded)
+
+    def test_replace_recomputes_the_id(self):
+        import dataclasses
+        commit = self._commits()[0]
+        edited = dataclasses.replace(commit, message="edited")
+        assert edited.id == recomputed_commit_id(edited) != commit.id
+
+    def test_tree_keeps_paths_sorted(self):
+        files = {"z/a.c": "1", "a.c": "2", "arch/x/b.c": "3", "arch.c": "4"}
+        tree = Tree(files)
+        assert tree.paths() == sorted(files) == list(tree)
+        assert tree.id == recomputed_tree_id(files)
+        assert tree.with_files({"b.c": "5"}).paths() == \
+            sorted([*files, "b.c"])
+        assert pickle.loads(pickle.dumps(tree)).paths() == sorted(files)

@@ -328,3 +328,38 @@ class TestWorktree:
         worktree.write_untracked("gen.i", "")
         assert "gen.i" in worktree.paths()
         assert "a.c" in worktree.paths()
+
+    @staticmethod
+    def _union_paths(worktree):
+        """The set-union form of the worktree's paths."""
+        all_paths = set(worktree.commit.tree.paths())
+        all_paths.update(worktree.overlay)
+        all_paths.update(worktree.untracked)
+        return sorted(all_paths)
+
+    def test_paths_equal_the_union_form(self, repo_with_history):
+        repo, commits = repo_with_history
+        worktree = repo.checkout(commits[-1])
+        assert worktree.paths() == self._union_paths(worktree)
+        worktree.write("a.c", "int mutated;\n")
+        assert worktree.paths() == self._union_paths(worktree)
+        for path in ("0.i", "a.i", "zz/gen.o", "a.c"):
+            worktree.write_untracked(path, "")
+            assert worktree.paths() == self._union_paths(worktree)
+        worktree.clean()
+        assert worktree.paths() == self._union_paths(worktree)
+
+    def test_provider_reads_each_layer_in_order(self, repo_with_history):
+        repo, commits = repo_with_history
+        worktree = repo.checkout(commits[0])
+        provider = worktree.as_file_provider()
+        worktree.write_untracked("gen.i", "generated")
+        worktree.write_untracked("a.c", "untracked a")
+        assert provider("a.c") == worktree.read("a.c") == "untracked a"
+        worktree.write("a.c", "")
+        assert provider("a.c") == worktree.read("a.c") == ""
+        assert provider("gen.i") == "generated"
+        worktree.reset_hard()
+        assert provider("a.c") == worktree.read("a.c") == "int a;\n"
+        assert provider("gen.i") is None
+        assert not worktree.exists("gen.i")
