@@ -52,7 +52,9 @@ from repro.obs.logcfg import get_logger
 
 # v2: Token gained __slots__ and MacroTable drops its read recorder on
 # pickling, so v1 stores (pre-slotted token payloads) must not be loaded
-_PICKLE_VERSION = 2
+# v3: PreprocessResult lost its macros and emitted_lines fields, so v2
+# payloads (which embed both) must not be loaded
+_PICKLE_VERSION = 3
 
 _logger = get_logger("buildcache")
 

@@ -97,7 +97,7 @@ class Compiler:
         """``make file.i``: may fail on missing headers or bad directives."""
         preprocessor = Preprocessor(
             self._provider,
-            include_paths=list(self.architecture.include_roots),
+            include_paths=self.architecture.include_roots,
             predefined=self._macro_seed(),
         )
         return preprocessor.preprocess(path)

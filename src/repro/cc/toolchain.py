@@ -127,10 +127,17 @@ class ToolchainRegistry:
 
     def __init__(self, host: str = "x86_64",
                  architectures: list[Architecture] | None = None) -> None:
-        self._architectures: dict[str, Architecture] = {}
-        for architecture in (_DEFAULT_ARCHITECTURES if architectures is None
-                             else architectures):
-            self.register(architecture)
+        if architectures is None:
+            # the tables' values are immutable, so shallow copies keep
+            # register per registry
+            self._architectures = dict(_DEFAULT_TABLES._architectures)
+            self._by_directory = dict(_DEFAULT_TABLES._by_directory)
+        else:
+            self._architectures: dict[str, Architecture] = {}
+            #: arch/ subdirectory -> its toolchains, registration order
+            self._by_directory: dict[str, tuple[Architecture, ...]] = {}
+            for architecture in architectures:
+                self.register(architecture)
         if host not in self._architectures:
             raise ToolchainError(f"unknown host architecture: {host}")
         self._host = host
@@ -138,6 +145,10 @@ class ToolchainRegistry:
     def register(self, architecture: Architecture) -> None:
         """Add or replace a toolchain."""
         self._architectures[architecture.name] = architecture
+        directory = architecture.directory
+        self._by_directory[directory] = tuple(
+            arch for arch in self._architectures.values()
+            if arch.directory == directory)
 
     @property
     def host(self) -> Architecture:
@@ -173,5 +184,9 @@ class ToolchainRegistry:
 
         ``arch/x86`` maps to both i386 and x86_64, for example.
         """
-        return [arch for arch in self._architectures.values()
-                if arch.works and arch.directory == directory]
+        return [arch for arch in self._by_directory.get(directory, ())
+                if arch.works]
+
+
+#: the tables every default registry starts from a copy of
+_DEFAULT_TABLES = ToolchainRegistry(architectures=_DEFAULT_ARCHITECTURES)

@@ -93,17 +93,15 @@ class _ReadRecorder:
     ``reads`` maps each externally-read name to the definition observed
     at first read (None = absent); names the file itself (re)defined
     first are internal and never recorded. ``delta`` is the ordered
-    define/undef log to replay, and ``emitted_ranges`` collects the
-    (start, end) physical-line ranges the file emitted.
+    define/undef log to replay.
     """
 
-    __slots__ = ("reads", "delta", "written", "emitted_ranges")
+    __slots__ = ("reads", "delta", "written")
 
     def __init__(self) -> None:
         self.reads: dict[str, "Macro | None"] = {}
         self.delta: list[tuple[str, object]] = []
         self.written: set[str] = set()
-        self.emitted_ranges: list[tuple[int, int]] = []
 
     def note(self, name: str, macro: "Macro | None") -> None:
         """Record one read (first observation wins; writes shadow)."""
@@ -251,15 +249,6 @@ class MacroTable:
             predefined = MacroSeed(predefined or {})
         self._macros: dict[str, Macro] = predefined.table()
         self._recorder: _ReadRecorder | _ReadLog | None = None
-
-    def __getstate__(self):
-        # Recorders are transient per-file state; never pickle them
-        # (build-cache payloads embed MacroTables).
-        return {"_macros": self._macros}
-
-    def __setstate__(self, state) -> None:
-        self._macros = state["_macros"]
-        self._recorder = None
 
     # -- read recording (header replay support) --------------------------
 

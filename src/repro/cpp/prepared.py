@@ -9,7 +9,10 @@ Three observations drive the substrate fast path (DESIGN.md §8):
    unit. :class:`PreparedFile` performs that work once per distinct
    content and shares it process-wide: across the files of one TU,
    across the TUs of one ≤50-file ``make`` batch, and across requests
-   in a warm service or worker process.
+   in a warm service or worker process. Within that, each distinct
+   logical line is prepared once: a mutated copy of a file shares every
+   unchanged line's immutable :class:`PreparedLine` with its original,
+   so a new content costs only its changed lines.
 
 2. A *leaf* file — one whose prepared form contains no ``#include``
    directive — interacts with the rest of the build only through the
@@ -19,8 +22,8 @@ Three observations drive the substrate fast path (DESIGN.md §8):
    :class:`HeaderReplayCache` memoizes exactly that: keyed by
    (path, content), validated by the recorded read set (which naturally
    captures the arch/config dependence via ``CONFIG_*`` and builtin
-   reads), it replays the emitted text, the emitted-line set, and the
-   ordered define/undef delta without touching the lexer at all.
+   reads), it replays the emitted text and the ordered define/undef
+   delta without touching the lexer at all.
    Guard-protected headers are the canonical win: the second inclusion
    in a TU and every inclusion in later TUs of a warm process resolve
    here.
@@ -31,7 +34,7 @@ Three observations drive the substrate fast path (DESIGN.md §8):
 
 The module also owns the global fast-path switch. All reuse levels —
 the lexer's token caches, the macro screen and line expansion memo, the
-evaluator fast paths, and the two caches here — can be force-disabled
+evaluator fast paths, and the caches here — can be force-disabled
 via :func:`configure`
 (or, scoped, :func:`fastpath_disabled`), which is what the byte-identity
 differential suite uses to compare both pipelines.
@@ -41,47 +44,43 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from contextlib import contextmanager
+from functools import lru_cache
+from typing import NamedTuple
 
 from repro.cpp import evaluator as _evaluator
 from repro.cpp import lexer as _lexer
 from repro.cpp import macro as _macro
 from repro.cpp.lexer import CommentStripper
 from repro.obs.metrics import MetricsRegistry
-from repro.util.text import split_lines_keepends
 
 #: bound on distinct file contents held prepared
 _PREPARED_CACHE_SIZE = 4096
+#: bound on distinct (logical line, span, entry comment state) records
+_LINE_CACHE_SIZE = 16384
 #: bounds on the header replay store
 _REPLAY_CACHE_SIZE = 2048
 _REPLAY_MAX_VARIANTS = 16
 
 
-class PreparedLine:
+class PreparedLine(NamedTuple):
     """One logical line, pre-stripped, pre-spliced, pre-classified.
 
-    ``start``/``end`` are the 1-based physical line range the logical
-    line spans (inclusive). For directive lines, ``directive`` is the
-    keyword ("" for the null directive) and ``rest`` the pre-stripped
-    text after it; for ordinary text lines both are None and ``blank``
-    says whether the line is whitespace-only after stripping.
+    ``span`` is the number of physical lines the logical line covers
+    (more than 1 only for backslash continuations); the preprocessor
+    counts positions from the spans as it walks a file, so a record
+    holds nothing file-specific and one immutable record is shared by
+    every file that has the line. For directive lines, ``directive`` is
+    the keyword ("" for the null directive) and ``rest`` the
+    pre-stripped text after it; for ordinary text lines both are None
+    and ``blank`` says whether the line is whitespace-only after
+    stripping.
     """
 
-    __slots__ = ("text", "start", "end", "directive", "rest", "blank")
-
-    def __init__(self, text: str, start: int, end: int,
-                 directive: str | None, rest: str | None,
-                 blank: bool) -> None:
-        self.text = text
-        self.start = start
-        self.end = end
-        self.directive = directive
-        self.rest = rest
-        self.blank = blank
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        kind = f"#{self.directive}" if self.directive is not None else "text"
-        return (f"PreparedLine({kind} {self.start}..{self.end} "
-                f"{self.text!r})")
+    text: str
+    span: int
+    directive: str | None
+    rest: str | None
+    blank: bool
 
 
 class PreparedFile:
@@ -132,27 +131,46 @@ def directive_name(stripped_line: str) -> str | None:
     return name  # may be "" for a null directive "#"
 
 
+@lru_cache(maxsize=_LINE_CACHE_SIZE)
+def _prepared_line(logical: str, span: int,
+                   in_comment: bool) -> tuple[PreparedLine, bool]:
+    """The shared record of one logical line entered with the given
+    block-comment state, and the state it leaves."""
+    stripper = CommentStripper()
+    stripper.in_block_comment = in_comment
+    stripped = stripper.strip_line(logical)
+    directive = directive_name(stripped)
+    if directive is None:
+        record = PreparedLine(stripped, span, None, None,
+                              not stripped.strip())
+    else:
+        body = stripped.strip()[1:].strip()
+        record = PreparedLine(stripped, span, directive,
+                              body[len(directive):].strip(), False)
+    return record, stripper.in_block_comment
+
+
 def prepare_text(text: str) -> PreparedFile:
     """Strip, splice, and classify one file's content (pure function)."""
-    lines = split_lines_keepends(text)
-    stripper = CommentStripper()
-    prepared: list[PreparedLine] = []
-    index = 0
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines.pop()
     count = len(lines)
+    last = count - 1
+    prepared: list[PreparedLine] = []
+    in_comment = False
+    index = 0
     while index < count:
-        start = index + 1
-        logical, index = splice_logical_line(lines, index)
-        stripped = stripper.strip_line(logical)
-        directive = directive_name(stripped)
-        if directive is None:
-            prepared.append(PreparedLine(
-                stripped, start, index, None, None,
-                not stripped.strip()))
+        logical = lines[index]
+        if "\\" in logical and index < last:
+            logical, end = splice_logical_line(lines, index)
+            span = end - index
+            index = end
         else:
-            body = stripped.strip()[1:].strip()
-            rest = body[len(directive):].strip()
-            prepared.append(PreparedLine(
-                stripped, start, index, directive, rest, False))
+            span = 1
+            index += 1
+        record, in_comment = _prepared_line(logical, span, in_comment)
+        prepared.append(record)
     return PreparedFile(tuple(prepared), count)
 
 
@@ -231,14 +249,12 @@ def prepared_file(text: str) -> PreparedFile:
 class HeaderReplay:
     """One cached expansion of a leaf file under one read valuation."""
 
-    __slots__ = ("reads", "delta", "out_text", "emitted_ranges")
+    __slots__ = ("reads", "delta", "out_text")
 
-    def __init__(self, reads: dict, delta: list, out_text: str,
-                 emitted_ranges: tuple) -> None:
+    def __init__(self, reads: dict, delta: list, out_text: str) -> None:
         self.reads = reads
         self.delta = delta
         self.out_text = out_text
-        self.emitted_ranges = emitted_ranges
 
     def matches(self, macros) -> bool:
         """True when every recorded read sees the same definition now."""
@@ -248,17 +264,13 @@ class HeaderReplay:
                 return False
         return True
 
-    def apply(self, macros, emitted, path: str) -> None:
-        """Replay the macro-table delta and the emitted-line set."""
+    def apply(self, macros) -> None:
+        """Replay the macro-table delta."""
         for op, payload in self.delta:
             if op == "define":
                 macros.define(payload)
             else:
                 macros.undef(payload)
-        add = emitted.add
-        for start, end in self.emitted_ranges:
-            for physical in range(start, end + 1):
-                add((path, physical))
 
 
 class HeaderReplayCache:
@@ -300,8 +312,7 @@ class HeaderReplayCache:
         replay = HeaderReplay(
             reads=dict(recorder.reads),
             delta=list(recorder.delta),
-            out_text=out_text,
-            emitted_ranges=tuple(recorder.emitted_ranges))
+            out_text=out_text)
         variants.insert(0, replay)
         self.stats.stores += 1
         while len(variants) > self.max_variants:
@@ -369,6 +380,7 @@ def configure(enable: bool) -> None:
 def clear_caches() -> None:
     """Drop every process-wide substrate cache (stats survive)."""
     _PREPARED.clear()
+    _prepared_line.cache_clear()
     _HEADER_CACHE.clear()
     _lexer.clear_token_caches()
     _macro.clear_expansion_caches()

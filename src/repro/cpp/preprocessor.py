@@ -19,19 +19,20 @@ Behaviour that JMake depends on (paper §III-A/D):
 
 Two equivalent pipelines live here (DESIGN.md §8). The fast path walks
 the content-keyed :class:`~repro.cpp.prepared.PreparedFile` (stripping,
-splicing, and directive classification done once per distinct content,
-process-wide) and consults the header replay cache for leaf files whose
-recorded macro reads still hold. The slow path is the original
-per-visit loop, kept verbatim as the byte-identity reference the
+splicing, and directive classification done once per distinct content
+and line, process-wide) and consults the header replay cache for leaf
+files whose recorded macro reads still hold. The slow path is the
+original per-visit loop, kept as the byte-identity reference the
 differential suite compares against; both produce identical ``.i``
-text, emitted-line sets, include lists, and missing-include probes.
+text, include lists, missing-include probes, and diagnostics.
 """
 
 from __future__ import annotations
 
 import posixpath
 from dataclasses import dataclass, field
-from typing import Callable
+from functools import lru_cache
+from typing import Callable, Sequence
 
 from repro.cpp import prepared as _prepared
 from repro.cpp.evaluator import evaluate_condition
@@ -43,6 +44,9 @@ from repro.util.text import split_lines_keepends
 FileProvider = Callable[[str], "str | None"]
 
 _MAX_INCLUDE_DEPTH = 40
+#: bound on distinct (target, angled, includer, include roots) keys
+#: whose candidate paths are memoized
+_CANDIDATE_CACHE_SIZE = 16384
 
 
 @dataclass
@@ -52,9 +56,6 @@ class PreprocessResult:
     main_file: str
     text: str
     included_files: list[str]
-    macros: MacroTable
-    #: (file, line) pairs of source lines that contributed output text.
-    emitted_lines: set[tuple[str, int]] = field(default_factory=set)
     #: include candidates probed and found absent, in probe order; the
     #: build cache records these so that *creating* a file that would
     #: shadow an include search path invalidates dependent entries.
@@ -75,11 +76,11 @@ class Preprocessor:
     """Preprocess translation units against a virtual filesystem."""
 
     def __init__(self, provider: FileProvider,
-                 include_paths: list[str] | None = None,
+                 include_paths: "Sequence[str] | None" = None,
                  predefined: "dict[str, str] | MacroSeed | None" = None,
                  fastpath: bool | None = None) -> None:
         self._provider = provider
-        self._include_paths = list(include_paths or [])
+        self._include_paths = tuple(include_paths or ())
         self._predefined = predefined if isinstance(predefined, MacroSeed) \
             else MacroSeed(predefined or {})
         #: None = follow the global switch; True/False pins this instance
@@ -98,16 +99,12 @@ class Preprocessor:
         macros = MacroTable(self._predefined)
         out: list[str] = []
         included: list[str] = []
-        emitted: set[tuple[str, int]] = set()
         self._missing_probes = []
-        self._process_file(main_file, text, macros, out, included, emitted,
-                           depth=0)
+        self._process_file(main_file, text, macros, out, included, depth=0)
         return PreprocessResult(
             main_file=main_file,
             text="".join(out),
             included_files=included,
-            macros=macros,
-            emitted_lines=emitted,
             missing_includes=list(self._missing_probes),
         )
 
@@ -115,12 +112,12 @@ class Preprocessor:
 
     def _process_file(self, path: str, text: str, macros: MacroTable,
                       out: list[str], included: list[str],
-                      emitted: set[tuple[str, int]], depth: int) -> None:
+                      depth: int) -> None:
         if depth > _MAX_INCLUDE_DEPTH:
             raise PreprocessorError("include depth limit exceeded", file=path)
         if not self._fast_active:
             self._process_file_slow(path, text, macros, out, included,
-                                    emitted, depth)
+                                    depth)
             return
         pfile = _prepared.prepared_file(text)
         recorder = None
@@ -128,13 +125,13 @@ class Preprocessor:
             replay = _prepared.header_cache().probe(path, text, macros)
             if replay is not None:
                 out.append(replay.out_text)
-                replay.apply(macros, emitted, path)
+                replay.apply(macros)
                 return
             recorder = macros.begin_recording()
         mark = len(out)
         try:
             self._process_prepared(path, pfile, macros, out, included,
-                                   emitted, depth, recorder)
+                                   depth)
         except BaseException:
             if recorder is not None:
                 macros.end_recording()
@@ -147,24 +144,28 @@ class Preprocessor:
     def _process_prepared(self, path: str,
                           pfile: "_prepared.PreparedFile",
                           macros: MacroTable, out: list[str],
-                          included: list[str],
-                          emitted: set[tuple[str, int]], depth: int,
-                          recorder) -> None:
-        """The fast loop over a prepared (pre-stripped) file."""
+                          included: list[str], depth: int) -> None:
+        """The fast loop over a prepared (pre-stripped) file.
+
+        Records carry spans, not positions (one record serves every
+        file that has the line), so the loop counts physical lines:
+        ``start`` is the first physical line of the current record.
+        """
         out.append(f'# 1 "{path}"\n')
         conditions: list[_CondState] = []
         pending_marker = False
         active = True
         expand_text = macros.expand_text
         out_append = out.append
-        emitted_add = emitted.add
+        end = 0
         for pline in pfile.lines:
+            start = end + 1
+            end += pline.span
             directive = pline.directive
             if directive is not None:
                 pending_marker = self._handle_directive(
-                    directive, pline.rest, path, pline.start, macros,
-                    conditions, out, included, emitted, depth,
-                    pending_marker)
+                    directive, pline.rest, path, start, macros,
+                    conditions, out, included, depth, pending_marker)
                 active = not conditions or _all_active(conditions)
                 continue
             if not active:
@@ -174,21 +175,15 @@ class Preprocessor:
                 out_append("\n")
                 continue
             if pending_marker:
-                out_append(f'# {pline.start} "{path}"\n')
+                out_append(f'# {start} "{path}"\n')
                 pending_marker = False
             expanded = expand_text(pline.text)
             if "__LINE__" in expanded or "__FILE__" in expanded:
                 # Positional builtins resolve at the use site, whether
                 # written directly or produced by a macro expansion.
                 expanded = _resolve_positional_builtins(
-                    expanded, path, pline.start)
+                    expanded, path, start)
             out_append(expanded + "\n")
-            start = pline.start
-            end = pline.end
-            if recorder is not None:
-                recorder.emitted_ranges.append((start, end))
-            for physical in range(start, end + 1):
-                emitted_add((path, physical))
         if conditions:
             raise PreprocessorError(
                 "unterminated conditional (missing #endif)",
@@ -196,7 +191,6 @@ class Preprocessor:
 
     def _process_file_slow(self, path: str, text: str, macros: MacroTable,
                            out: list[str], included: list[str],
-                           emitted: set[tuple[str, int]],
                            depth: int) -> None:
         """The original per-visit loop (differential reference path)."""
         out.append(f'# 1 "{path}"\n')
@@ -215,8 +209,7 @@ class Preprocessor:
                 rest = body[len(directive):].strip()
                 pending_marker = self._handle_directive(
                     directive, rest, path, start_line, macros,
-                    conditions, out, included, emitted, depth,
-                    pending_marker)
+                    conditions, out, included, depth, pending_marker)
                 continue
             if not _all_active(conditions):
                 pending_marker = True
@@ -235,8 +228,6 @@ class Preprocessor:
                 expanded = _resolve_positional_builtins(
                     expanded, path, start_line)
             out.append(expanded + "\n")
-            for physical in range(start_line, index + 1):
-                emitted.add((path, physical))
         if conditions:
             raise PreprocessorError(
                 "unterminated conditional (missing #endif)",
@@ -252,8 +243,7 @@ class Preprocessor:
     def _handle_directive(self, keyword: str, rest: str, path: str,
                           line: int, macros: MacroTable,
                           conditions: list[_CondState], out: list[str],
-                          included: list[str],
-                          emitted: set[tuple[str, int]], depth: int,
+                          included: list[str], depth: int,
                           pending_marker: bool) -> bool:
         active = _all_active(conditions)
 
@@ -335,7 +325,7 @@ class Preprocessor:
                     file=path, line=line)
             included.append(resolved)
             self._process_file(resolved, text, macros, out, included,
-                               emitted, depth + 1)
+                               depth + 1)
             out.append(f'# {line + 1} "{path}"\n')
             return False
         if keyword == "error":
@@ -347,19 +337,32 @@ class Preprocessor:
 
     def _resolve_include(self, target: str, angled: bool,
                          including_file: str) -> str | None:
-        candidates: list[str] = []
-        if not angled:
-            base = posixpath.dirname(including_file)
-            candidates.append(posixpath.normpath(posixpath.join(base, target))
-                              if base else target)
-        for search in self._include_paths:
-            candidates.append(posixpath.normpath(
-                posixpath.join(search, target)))
-        for candidate in candidates:
+        # the reference pipeline recomputes the candidates every time
+        candidates = _include_candidates if self._fast_active \
+            else _include_candidates.__wrapped__
+        for candidate in candidates(target, angled, including_file,
+                                    self._include_paths):
             if self._provider(candidate) is not None:
                 return candidate
             self._missing_probes.append(candidate)
         return None
+
+
+@lru_cache(maxsize=_CANDIDATE_CACHE_SIZE)
+def _include_candidates(target: str, angled: bool, including_file: str,
+                        include_paths: tuple[str, ...]) -> tuple[str, ...]:
+    """The paths an include probes, in order: the including file's
+    directory for a quoted include (the target as written when the
+    includer sits at the tree root), then each include root."""
+    candidates: list[str] = []
+    if not angled:
+        base = posixpath.dirname(including_file)
+        candidates.append(posixpath.normpath(posixpath.join(base, target))
+                          if base else target)
+    for search in include_paths:
+        candidates.append(posixpath.normpath(
+            posixpath.join(search, target)))
+    return tuple(candidates)
 
 
 def _resolve_positional_builtins(line: str, path: str,

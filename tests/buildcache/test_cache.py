@@ -3,6 +3,7 @@
 import pytest
 
 from repro.buildcache.cache import BuildCache, CachePolicy
+from repro.cpp.preprocessor import PreprocessResult
 from repro.kbuild.build import BuildError
 
 from tests.buildcache.conftest import make_build_system
@@ -228,6 +229,26 @@ class TestPersistence:
         config = warm.make_config("x86_64", "allyesconfig")
         results = warm.make_i(["drivers/net/e1000.c"], "x86_64", config)
         assert results[0].cached
+
+    def test_preprocess_payloads_hold_four_fields(self, tree, cache,
+                                                  tmp_path):
+        build = make_build_system(tree, cache)
+        config = build.make_config("x86_64", "allyesconfig")
+        build.make_i(["drivers/net/e1000.c"], "x86_64", config)
+        build.make_o("drivers/net/e1000.c", "x86_64", config)
+        path = tmp_path / "cache.pickle"
+        cache.save(str(path))
+
+        loaded = BuildCache.load(str(path))
+        payloads = [entry.payload
+                    for key, slot in loaded._slots.items()
+                    if key[0] == "preprocess" for entry in slot.variants]
+        assert payloads
+        for payload in payloads:
+            assert type(payload) is PreprocessResult
+            assert set(vars(payload)) == {"main_file", "text",
+                                          "included_files",
+                                          "missing_includes"}
 
     def test_load_missing_file_gives_fresh_cache(self, tmp_path):
         loaded = BuildCache.load(str(tmp_path / "absent.pickle"))

@@ -44,6 +44,20 @@ class TestLoadErrors:
         assert "incompatible payload" in caplog.text
         assert str(_PICKLE_VERSION) in caplog.text
 
+    def test_version_2_store_is_refused(self, tmp_path):
+        path = tmp_path / "v2.cache"
+        cache = BuildCache()
+        cache._slots["probe"] = "a v2 entry"
+        cache.save(str(path))
+        with open(path, "rb") as handle:
+            payload = pickle.load(handle)
+        payload["version"] = 2
+        with open(path, "wb") as handle:
+            pickle.dump(payload, handle)
+        loaded = BuildCache.load(str(path))
+        assert loaded.stats.load_errors == 1
+        assert len(loaded._slots) == 0
+
     def test_non_dict_payload_counts(self, tmp_path):
         path = tmp_path / "list.cache"
         with open(path, "wb") as handle:

@@ -32,7 +32,6 @@ from repro.cc.lexer import lex_translation_unit
 from repro.cc.parser import validate_unit
 from repro.cc.toolchain import ToolchainRegistry
 from repro.cpp.lexer import Token, TokenKind, tokenize_shared
-from repro.cpp.macro import MacroTable
 from repro.cpp.preprocessor import PreprocessResult
 from repro.errors import CompileError
 
@@ -217,7 +216,7 @@ X86 = ToolchainRegistry().get("x86_64")
 def _compile(path: str, i_text: str):
     compiler = Compiler(X86, {}.get)
     preprocessed = PreprocessResult(main_file=path, text=i_text,
-                                    included_files=[], macros=MacroTable())
+                                    included_files=[])
     try:
         obj = compiler.compile_object(path, preprocessed=preprocessed)
     except CompileError as error:

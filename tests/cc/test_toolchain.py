@@ -91,6 +91,45 @@ class TestRegistry:
         assert registry.host.name == "toy"
 
 
+class TestDirectoryIndex:
+    """``for_directory`` answers from an index kept by ``register``."""
+
+    @staticmethod
+    def scan(registry, directory):
+        return [arch for arch in registry._architectures.values()
+                if arch.works and arch.directory == directory]
+
+    def test_order_equals_the_scan_for_every_default(self):
+        registry = ToolchainRegistry()
+        for name in WORKING_ARCHITECTURES + BROKEN_ARCHITECTURES:
+            directory = arch_directory(name)
+            assert registry.for_directory(directory) \
+                == self.scan(registry, directory)
+        assert [arch.name for arch in registry.for_directory("x86")] \
+            == ["i386", "x86_64"]
+        assert registry.for_directory("nonexistent") == []
+
+    def test_replacing_with_a_broken_toolchain_drops_it(self):
+        registry = ToolchainRegistry()
+        registry.register(Architecture(name="i386", bits=32, works=False))
+        assert [arch.name for arch in registry.for_directory("x86")] \
+            == ["x86_64"]
+        registry.register(Architecture(name="i386", bits=32))
+        assert [arch.name for arch in registry.for_directory("x86")] \
+            == ["i386", "x86_64"]
+        assert registry.for_directory("x86") == self.scan(registry, "x86")
+
+    def test_register_is_not_seen_by_another_registry(self):
+        first, second = ToolchainRegistry(), ToolchainRegistry()
+        first.register(Architecture(name="toy", bits=32))
+        first.register(Architecture(name="arm", works=False))
+        assert [arch.name for arch in first.for_directory("toy")] == ["toy"]
+        assert first.for_directory("arm") == []
+        assert second.for_directory("toy") == []
+        assert [arch.name for arch in second.for_directory("arm")] \
+            == ["arm"]
+
+
 class TestPredefines:
     def test_arch_macro(self):
         registry = ToolchainRegistry()

@@ -4,8 +4,8 @@ Preprocesses every translation unit of the full generated kernel tree
 across architectures × configurations twice — once with every fast-path
 level force-disabled (the original per-visit pipeline) and once with
 them enabled — and asserts the results are *identical*: the ``.i``
-text byte for byte, the emitted-line sets, the include lists, the
-missing-include probe sequences, and any raised diagnostics. A third
+text byte for byte, the include lists, the missing-include probe
+sequences, and any raised diagnostics. A third
 warm pass re-runs the fast pipeline against populated caches so the
 header-replay hits are themselves covered by the identity check.
 
@@ -49,8 +49,8 @@ def _preprocess_all(compiler, tu_paths):
     for path in tu_paths:
         try:
             r = compiler.preprocess(path)
-            results[path] = (r.text, sorted(r.emitted_lines),
-                            r.included_files, r.missing_includes)
+            results[path] = (r.text, r.included_files,
+                             r.missing_includes)
         except ReproError as error:
             results[path] = ("ERROR", type(error).__name__, str(error))
     return results
@@ -58,8 +58,7 @@ def _preprocess_all(compiler, tu_paths):
 
 def _assert_identical(reference, candidate, label):
     assert set(reference) == set(candidate)
-    fields = ("text", "emitted_lines", "included_files",
-              "missing_includes")
+    fields = ("text", "included_files", "missing_includes")
     for path, expected in reference.items():
         actual = candidate[path]
         if expected[0] == "ERROR" or actual[0] == "ERROR":

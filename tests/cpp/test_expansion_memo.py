@@ -39,8 +39,7 @@ def cold_fast_path():
 
 
 def _observable(result):
-    return (result.text, sorted(result.emitted_lines),
-            result.included_files, result.missing_includes)
+    return (result.text, result.included_files, result.missing_includes)
 
 
 def _run(files, mains, predefined=None):

@@ -33,11 +33,6 @@ class TestBasics:
         result = pp({"f.c": "int x; /* gone */\n// also gone\nint y;\n"})
         assert "gone" not in result.text
 
-    def test_emitted_lines_tracked(self):
-        result = pp({"f.c": "int x;\n\nint y;\n"})
-        assert ("f.c", 1) in result.emitted_lines
-        assert ("f.c", 3) in result.emitted_lines
-
 
 class TestMacros:
     def test_define_consumed_and_expanded(self):
