@@ -11,9 +11,6 @@ by content fingerprints so a hit is provably equivalent to recomputing:
 - :mod:`repro.buildcache.fingerprint` — blob/environment digests and
   include-closure manifests (source text + transitive includes +
   configuration macro set + architecture builtins);
-- :mod:`repro.buildcache.depgraph` — the include-dependency graph,
-  incrementally invalidated by each commit's diff instead of being
-  recomputed per worktree;
 - :mod:`repro.buildcache.stats` — hit/miss/evict telemetry per
   artifact kind, bytes saved, simulated seconds saved;
 - :mod:`repro.buildcache.cache` — the store itself, with an LRU bound,

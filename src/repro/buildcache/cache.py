@@ -14,9 +14,11 @@ BuildSystem` a run creates (one per patch), memoizing across commits:
 
 Correctness is content-addressed: a probe only hits when every file the
 original computation read (or probed and found absent) still has the
-same digest, so a hit is bit-for-bit equivalent to recomputing. The
-include-dependency graph makes per-commit maintenance incremental, and
-an optional LRU bound keeps long windows from growing without limit.
+same digest, so a hit is bit-for-bit equivalent to recomputing. A
+commit's diff drops nothing: entries whose closure it touched simply
+stop matching, and revive verbatim when the same content recurs (a
+replayed window, a revert, a warm second run). An optional LRU bound
+keeps long windows from growing without limit.
 
 Keys for mutable-content artifacts hold a short list of *variants*
 (same source blob, different closure — e.g. an unchanged ``.c``
@@ -35,7 +37,6 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Any, Iterable
 
-from repro.buildcache.depgraph import IncludeDependencyGraph
 from repro.buildcache.fingerprint import (
     FileProvider,
     Manifest,
@@ -54,7 +55,9 @@ from repro.obs.logcfg import get_logger
 # pickling, so v1 stores (pre-slotted token payloads) must not be loaded
 # v3: PreprocessResult lost its macros and emitted_lines fields, so v2
 # payloads (which embed both) must not be loaded
-_PICKLE_VERSION = 3
+# v4: the include-dependency graph is gone, so v3 payloads carry a
+# "graph" object whose class no longer exists
+_PICKLE_VERSION = 4
 
 _logger = get_logger("buildcache")
 
@@ -100,7 +103,6 @@ class BuildCache:
     def __init__(self, policy: CachePolicy | None = None) -> None:
         self.policy = policy or CachePolicy()
         self.stats = CacheStats()
-        self.graph = IncludeDependencyGraph()
         self._slots: "OrderedDict[tuple, _Slot]" = OrderedDict()
         #: fault-injection hook; an injected fault degrades a probe to a
         #: miss and a store to a no-op — corruption can cost time, never
@@ -192,7 +194,6 @@ class BuildCache:
                                 absent=result.missing_includes)
         self._store("preprocess", ("preprocess", path, env, main_digest),
                     manifest, result)
-        self.graph.record(path, closure)
 
     # -- compilation (.o) ---------------------------------------------------
 
@@ -216,7 +217,6 @@ class BuildCache:
         manifest = manifest_for(closure, provider, absent=missing)
         self._store("object", ("object", path, env, main_digest),
                     manifest, outcome)
-        self.graph.record(path, closure)
 
     # -- Kconfig models and solved configurations ---------------------------
 
@@ -267,23 +267,6 @@ class BuildCache:
         """Store one parsed Makefile (content-addressed, no manifest)."""
         self._store("makefile", ("makefile", path, blob_digest(text)),
                     (), parsed)
-
-    # -- per-commit maintenance ---------------------------------------------
-
-    def on_commit(self, changed_paths: Iterable[str]) -> set[str]:
-        """Apply one commit's diff to the dependency graph.
-
-        Incrementally perturbs exactly the sources whose recorded
-        include closure intersects the diff (no per-worktree closure
-        recomputation) and counts them as invalidations. Entries are
-        *not* dropped — their manifests no longer match the new tree,
-        so probes against it miss, but the entries revive verbatim when
-        the same content reappears (a replayed window, a revert, a
-        warm second run).
-        """
-        dependents = self.graph.note_changed(changed_paths)
-        self.stats.kind("preprocess").invalidations += len(dependents)
-        return dependents
 
     # -- priming and persistence --------------------------------------------
 
@@ -344,7 +327,7 @@ class BuildCache:
         return self.stats.copy()
 
     def save(self, path: str) -> None:
-        """Pickle the store (entries + graph, not stats) to disk.
+        """Pickle the store (entries, not stats) to disk.
 
         The pickle lands via temp-file + fsync + ``os.replace``, so a
         crash mid-save leaves the previous cache file intact instead of
@@ -361,7 +344,6 @@ class BuildCache:
             "version": _PICKLE_VERSION,
             "policy": self.policy,
             "slots": self._slots,
-            "graph": self.graph,
         }
         atomic_write_bytes(
             path, pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL))
@@ -404,7 +386,6 @@ class BuildCache:
                       f"expected {_PICKLE_VERSION})")
             return cache
         cache._slots = payload["slots"]
-        cache.graph = payload["graph"]
         if policy is None and isinstance(payload.get("policy"), CachePolicy):
             cache.policy = payload["policy"]
         return cache

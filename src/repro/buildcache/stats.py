@@ -21,8 +21,7 @@ from repro.obs.metrics import MetricsRegistry
 KINDS = ("preprocess", "object", "config", "model", "makefile")
 
 #: the counter fields every kind carries, in render order
-FIELDS = ("hits", "misses", "evictions", "invalidations", "bytes_saved",
-          "sim_seconds_saved")
+FIELDS = ("hits", "misses", "evictions", "bytes_saved", "sim_seconds_saved")
 
 #: registry instrument counting pickle loads that fell back to empty
 LOAD_ERRORS = "cache.load_errors"
@@ -39,8 +38,7 @@ class KindStats:
     __slots__ = ("_registry", "_prefix")
 
     def __init__(self, hits: int = 0, misses: int = 0, evictions: int = 0,
-                 invalidations: int = 0, bytes_saved: int = 0,
-                 sim_seconds_saved: float = 0.0, *,
+                 bytes_saved: int = 0, sim_seconds_saved: float = 0.0, *,
                  registry: MetricsRegistry | None = None,
                  prefix: str = "cache._") -> None:
         self._registry = registry if registry is not None \
@@ -48,8 +46,7 @@ class KindStats:
         self._prefix = prefix
         if registry is None:
             for name, value in zip(FIELDS, (hits, misses, evictions,
-                                            invalidations, bytes_saved,
-                                            sim_seconds_saved)):
+                                            bytes_saved, sim_seconds_saved)):
                 if value:
                     self._registry.counter(f"{prefix}.{name}").value = value
 
@@ -162,20 +159,18 @@ class CacheStats:
     def render(self) -> str:
         """A fixed-width table for ``--cache-stats``."""
         header = (f"{'kind':<12} {'hits':>8} {'misses':>8} {'rate':>6} "
-                  f"{'evict':>6} {'inval':>6} {'bytes saved':>12} "
-                  f"{'sim s saved':>12}")
+                  f"{'evict':>6} {'bytes saved':>12} {'sim s saved':>12}")
         lines = [header, "-" * len(header)]
         for name in self.kind_names:
             stats = self.kind(name)
             lines.append(
                 f"{name:<12} {stats.hits:>8} {stats.misses:>8} "
                 f"{stats.hit_rate:>6.1%} {stats.evictions:>6} "
-                f"{stats.invalidations:>6} {stats.bytes_saved:>12} "
-                f"{stats.sim_seconds_saved:>12.1f}")
+                f"{stats.bytes_saved:>12} {stats.sim_seconds_saved:>12.1f}")
         lines.append(
             f"{'total':<12} {self.hits:>8} {self.misses:>8} "
             f"{(self.hits / (self.hits + self.misses)) if (self.hits + self.misses) else 0.0:>6.1%} "
-            f"{self.evictions:>6} {'':>6} {self.bytes_saved:>12} "
+            f"{self.evictions:>6} {self.bytes_saved:>12} "
             f"{self.sim_seconds_saved:>12.1f}")
         if self.load_errors:
             lines.append(f"load errors : {self.load_errors}")

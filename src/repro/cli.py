@@ -172,8 +172,7 @@ def _evaluate(args: argparse.Namespace) -> int:
         stats = result.journal_stats
         print(f"journal {stats['path']}: {stats['records']} verdict(s) "
               f"durable ({stats['resumed']} resumed, "
-              f"{stats['emitted']} fresh, "
-              f"{stats['checkpoints_written']} checkpoint(s))")
+              f"{stats['emitted']} fresh)")
     if args.cache_file and session.cache is not None:
         session.cache.save(args.cache_file)
         print(f"build cache written to {args.cache_file}")

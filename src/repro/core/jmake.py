@@ -165,11 +165,6 @@ class CheckSession:
             with self.tracer.span("patch.parse") as parse_span:
                 patch = repository.show(commit)
                 parse_span.set("files", len(patch.paths()))
-            if self.cache is not None:
-                # Incrementally perturb the dependency graph with the
-                # diff; entries stay resident (they revive when content
-                # recurs).
-                self.cache.on_commit(patch.paths())
             report = self.check_patch(worktree, patch,
                                       commit_id=commit.id)
             # Commit-resolving checks know who wrote the patch; stamp

@@ -278,7 +278,6 @@ class EvaluationSession:
             journal: str | None = None,
             resume: bool = False,
             journal_fsync: bool = True,
-            journal_checkpoint_interval: int = 32,
             on_journal_append=None) -> EvaluationResult:
         """Run JMake over the evaluation window.
 
@@ -348,7 +347,6 @@ class EvaluationSession:
             from repro.journal.records import patch_record_from_dict
             ledger = self._open_ledger(
                 journal, resume=resume, fsync=journal_fsync,
-                checkpoint_interval=journal_checkpoint_interval,
                 on_append=on_journal_append,
                 ground_truth=use_ground_truth_janitors)
             for key in ledger.keys():
@@ -422,8 +420,7 @@ class EvaluationSession:
         return result
 
     def _open_ledger(self, journal: str, *, resume: bool, fsync: bool,
-                     checkpoint_interval: int, on_append,
-                     ground_truth: bool):
+                     on_append, ground_truth: bool):
         """Open (or wipe) the verdict ledger and bind the run identity.
 
         The meta record refuses a --resume against a journal written by
@@ -435,7 +432,6 @@ class EvaluationSession:
         injector = FaultInjector(self.fault_plan) \
             if self.fault_plan else None
         ledger = VerdictLedger(journal, fsync=fsync,
-                               checkpoint_interval=checkpoint_interval,
                                injector=injector, on_append=on_append,
                                fresh=not resume)
         spec = self.corpus.spec

@@ -154,25 +154,23 @@ class Journal:
 
     ``fsync=True`` (the default) makes every append durable before it
     returns; ``fsync=False`` trades durability for speed (still
-    append-ordered). ``injector`` wires the chaos plan in:
-    ``torn_journal_write`` faults cut the frame short and raise
-    :class:`SimulatedCrashError`. ``on_append`` is the chaos observer
-    called after each durable append with the 1-based append count.
+    append-ordered; :meth:`sync` makes it durable). ``injector`` wires
+    the chaos plan in: ``torn_journal_write`` faults cut the frame
+    short and raise :class:`SimulatedCrashError`.
     """
 
     def __init__(self, path: str, *, fsync: bool = True,
-                 injector=None, on_append=None) -> None:
+                 injector=None) -> None:
         self.path = path
         self.fsync = fsync
         self.injector = injector if injector is not None else NULL_INJECTOR
-        self.on_append = on_append
         self._handle = None
         #: frames appended by this process
         self.appended = 0
 
     # -- replay ----------------------------------------------------------------
 
-    def replay(self, *, truncate_torn_tail: bool = True) -> ReplayResult:
+    def replay(self) -> ReplayResult:
         """Read every intact record; repair a torn tail in place.
 
         Missing file → empty result (the normal first-run case).
@@ -188,7 +186,7 @@ class Journal:
         except FileNotFoundError:
             return ReplayResult()
         result = scan_frames(data, path=self.path)
-        if result.truncated_bytes and truncate_torn_tail:
+        if result.truncated_bytes:
             keep = len(data) - result.truncated_bytes
             _logger.warning(
                 "journal %s: truncating torn tail (%d byte(s): %s); "
@@ -232,18 +230,15 @@ class Journal:
         if self.fsync:
             os.fsync(handle.fileno())
         self.appended += 1
-        if self.on_append is not None:
-            self.on_append(self.appended)
         return self.appended
 
     # -- maintenance -----------------------------------------------------------
 
-    def truncate_all(self) -> None:
-        """Drop every frame (post-checkpoint compaction)."""
-        self.close()
-        with open(self.path, "wb") as handle:
-            handle.flush()
-            os.fsync(handle.fileno())
+    def sync(self) -> None:
+        """Flush and fsync the append handle (nothing when none is open)."""
+        if self._handle is not None:
+            self._handle.flush()
+            os.fsync(self._handle.fileno())
 
     def size_bytes(self) -> int:
         """Current on-disk size (0 when absent)."""

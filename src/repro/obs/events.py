@@ -50,8 +50,6 @@ EVENT_SERVICE_STARTED = "service.started"
 EVENT_SERVICE_DRAINED = "service.drained"
 EVENT_QUARANTINE_TRIP = "quarantine.trip"
 EVENT_JOURNAL_TRUNCATED = "journal.truncated"
-EVENT_JOURNAL_CHECKPOINT = "journal.checkpoint"
-EVENT_CACHE_LOAD_ERROR = "cache.load_error"
 EVENT_WORKER_SPAWNED = "transport.worker_spawned"
 EVENT_WORKER_EXIT = "transport.worker_exit"
 EVENT_WORKER_REQUEUE = "transport.requeue"
@@ -84,8 +82,6 @@ EVENT_KINDS = {
     EVENT_SERVICE_DRAINED: "the check service drained cleanly",
     EVENT_QUARANTINE_TRIP: "an architecture was quarantined for a request",
     EVENT_JOURNAL_TRUNCATED: "journal recovery truncated a torn tail",
-    EVENT_JOURNAL_CHECKPOINT: "the verdict ledger wrote a checkpoint",
-    EVENT_CACHE_LOAD_ERROR: "a cache pickle load fell back to empty",
     EVENT_WORKER_SPAWNED: "a remote transport spawned a worker",
     EVENT_WORKER_EXIT: "a remote worker exited or was reaped",
     EVENT_WORKER_REQUEUE: "in-flight work was requeued off a dead worker",

@@ -137,8 +137,6 @@ class WatchConfig:
     limit: int | None = None
     #: journal fsync discipline (tests turn it off for speed)
     fsync: bool = True
-    #: ledger compaction interval (records per checkpoint)
-    checkpoint_interval: int = 32
     #: chaos: die (SimulatedCrashError) after N durable fresh verdicts
     chaos_kill_after: int | None = None
     #: the check-service configuration (transport, jobs, supervision)
@@ -271,10 +269,8 @@ class WatchSession:
         crash = CrashPoint(config.chaos_kill_after) \
             if config.chaos_kill_after else None
         ledger = VerdictLedger(
-            self.journal_path, fsync=config.fsync,
-            checkpoint_interval=config.checkpoint_interval,
-            on_append=crash, fresh=not self.resume,
-            events=self.events)
+            self.journal_path, fsync=config.fsync, on_append=crash,
+            fresh=not self.resume, events=self.events)
         try:
             meta = self.meta()
             ledger.bind_meta(meta)

@@ -1,8 +1,8 @@
 """Crash-atomic file writes.
 
-Every artifact the pipeline persists (`--cache-file` pickles,
-``--stats-out``/``--metrics-out``/``--trace-out`` JSON, markdown
-reports, journal checkpoints) goes through :func:`atomic_write_bytes`:
+Every whole-file artifact the pipeline persists (`--cache-file`
+pickles, ``--stats-out``/``--metrics-out``/``--trace-out`` JSON,
+markdown reports) goes through :func:`atomic_write_bytes`:
 the payload is written to a temporary file *in the same directory* as
 the destination, flushed and fsynced, then moved over the destination
 with ``os.replace``. A crash at any point leaves either the old file

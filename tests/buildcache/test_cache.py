@@ -203,16 +203,24 @@ class TestPolicyBounds:
                                   "obj-y += b.o\n") == "parsed-b"
 
 
-class TestOnCommit:
-    def test_counts_invalidations_without_dropping(self, tree, cache):
-        build = make_build_system(tree, cache)
-        config = build.make_config("x86_64", "allyesconfig")
-        build.make_i(["drivers/net/e1000.c"], "x86_64", config)
-        size_before = len(cache)
-        perturbed = cache.on_commit(["include/linux/kernel.h"])
-        assert "drivers/net/e1000.c" in perturbed
-        assert cache.stats.kind("preprocess").invalidations >= 1
-        assert len(cache) == size_before  # entries stay for revival
+class TestRevival:
+    def test_restored_header_hits_without_dropping(self, tree, cache):
+        def preprocess():
+            build = make_build_system(tree, cache)
+            config = build.make_config("x86_64", "allyesconfig")
+            return build.make_i(["drivers/net/e1000.c"], "x86_64",
+                                config)[0]
+
+        preprocess()
+        size = len(cache)
+        header = tree["include/linux/kernel.h"]
+        tree["include/linux/kernel.h"] = header + "#define EDITED 1\n"
+        assert not preprocess().cached
+        assert len(cache) >= size
+        size = len(cache)
+        tree["include/linux/kernel.h"] = header
+        assert preprocess().cached  # the first entry revives verbatim
+        assert len(cache) >= size
 
 
 class TestPersistence:

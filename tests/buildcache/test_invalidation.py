@@ -16,16 +16,10 @@ def _preprocess_all(tree, cache):
 
 
 class TestExactFanout:
-    def test_depgraph_names_exactly_the_dependents(self, tree, cache):
-        _preprocess_all(tree, cache)
-        perturbed = cache.on_commit(["include/linux/kernel.h"])
-        assert perturbed == {"drivers/net/e1000.c"}
-
     def test_header_edit_invalidates_only_closure_members(self, tree,
                                                           cache):
         _preprocess_all(tree, cache)
         tree["include/linux/kernel.h"] = "#define KERN_INFO \"9\"\n"
-        cache.on_commit(["include/linux/kernel.h"])
 
         warm = make_build_system(tree, cache)
         x86 = warm.make_config("x86_64", "allyesconfig")
@@ -43,8 +37,6 @@ class TestExactFanout:
     def test_source_edit_invalidates_only_itself(self, tree, cache):
         _preprocess_all(tree, cache)
         tree["kernel/sched.c"] = "int schedule(void) { return 1; }\n"
-        perturbed = cache.on_commit(["kernel/sched.c"])
-        assert perturbed == {"kernel/sched.c"}
 
         warm = make_build_system(tree, cache)
         x86 = warm.make_config("x86_64", "allyesconfig")

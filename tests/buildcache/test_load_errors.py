@@ -44,17 +44,28 @@ class TestLoadErrors:
         assert "incompatible payload" in caplog.text
         assert str(_PICKLE_VERSION) in caplog.text
 
-    def test_version_2_store_is_refused(self, tmp_path):
-        path = tmp_path / "v2.cache"
+    @staticmethod
+    def load_older(tmp_path, version, **extra):
+        """Load a store saved by this build, relabelled ``version``."""
+        path = tmp_path / f"v{version}.cache"
         cache = BuildCache()
-        cache._slots["probe"] = "a v2 entry"
+        cache._slots["probe"] = f"a v{version} entry"
         cache.save(str(path))
         with open(path, "rb") as handle:
             payload = pickle.load(handle)
-        payload["version"] = 2
+        payload.update(extra, version=version)
         with open(path, "wb") as handle:
             pickle.dump(payload, handle)
-        loaded = BuildCache.load(str(path))
+        return BuildCache.load(str(path))
+
+    def test_version_2_store_is_refused(self, tmp_path):
+        loaded = self.load_older(tmp_path, 2)
+        assert loaded.stats.load_errors == 1
+        assert len(loaded._slots) == 0
+
+    def test_version_3_store_is_refused(self, tmp_path):
+        # v3 stores carried the include-dependency graph
+        loaded = self.load_older(tmp_path, 3, graph={})
         assert loaded.stats.load_errors == 1
         assert len(loaded._slots) == 0
 

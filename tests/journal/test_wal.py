@@ -219,10 +219,3 @@ class TestTornWriteFault:
             sizes.append(path.stat().st_size)
             path.unlink()
         assert sizes[0] == sizes[1]
-
-    def test_truncate_all_empties_the_file(self, tmp_path):
-        path = tmp_path / "wal.jnl"
-        journal = write_journal(path, records(3))
-        journal.truncate_all()
-        assert path.stat().st_size == 0
-        assert Journal(str(path)).replay().records == []
