@@ -33,7 +33,7 @@ from typing import TYPE_CHECKING
 
 from repro.analysis.deadblocks import BlockVerdict, DeadBlockAnalyzer
 from repro.buildcache.cache import BuildCache, CachePolicy
-from repro.core.changes import extract_changed_files
+from repro.core.changes import extract_changed_files, is_checkable
 from repro.core.jmake import CheckSession, JMakeOptions
 from repro.core.mutation import MutationEngine, MutationOverlay
 from repro.core.report import SCHEMA_VERSION, migrate_record
@@ -143,9 +143,10 @@ __all__ = [
     "Tracer", "Tristate", "VcsError",
     "atomic_write_json", "atomic_write_text", "build_corpus",
     "configure_logging", "diff_texts", "extract_changed_files",
-    "figure5_overall", "generate_tree", "render_span_tree",
-    "scaled_criteria", "span_count", "table1", "table2", "table3",
-    "table4", "write_chrome_trace", "write_markdown_report",
+    "figure5_overall", "generate_tree", "is_checkable",
+    "render_span_tree", "scaled_criteria", "span_count", "table1",
+    "table2", "table3", "table4", "write_chrome_trace",
+    "write_markdown_report",
 ]
 
 

@@ -329,8 +329,7 @@ def _serve(args: argparse.Namespace) -> int:
     commits = corpus.repository.log(since=api.Corpus.TAG_EVAL_START,
                                     until=api.Corpus.TAG_EVAL_END)
     checkable = [commit for commit in commits
-                 if api.extract_changed_files(
-                     corpus.repository.show(commit))]
+                 if api.is_checkable(corpus.repository, commit)]
     if args.limit is not None:
         checkable = checkable[:args.limit]
     workers = ""

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, replace
 
 from repro.buildcache.cache import BuildCache
 from repro.buildcache.stats import CacheStats
-from repro.core.changes import extract_changed_files
+from repro.core.changes import is_checkable
 from repro.core.jmake import CheckSession, JMakeOptions
 from repro.core.report import FileReport, FileStatus, PatchReport
 from repro.errors import EvaluationError
@@ -334,12 +334,9 @@ class EvaluationSession:
         result.total_commits = window_size
         result.ignored_commits = filtered_out
 
-        checkable = []
-        for commit in commits:
-            if extract_changed_files(repository.show(commit)):
-                checkable.append(commit)
-            else:
-                result.ignored_commits += 1
+        checkable = [commit for commit in commits
+                     if is_checkable(repository, commit)]
+        result.ignored_commits += len(commits) - len(checkable)
 
         ledger = None
         replayed: dict[str, PatchRecord] = {}

@@ -67,6 +67,10 @@ class ActivityAnalyzer:
                 ) -> dict[str, DeveloperActivity]:
         """Activity per developer email over the given window."""
         activities: dict[str, DeveloperActivity] = {}
+        # path -> (entry names, lists, maintainer emails) of the
+        # MAINTAINERS entries covering it: paths repeat across commits,
+        # so each distinct path is matched once per call
+        covering: dict[str, tuple[set[str], set[str], set[str]]] = {}
         for commit in self._repository.log(since=since, until=until,
                                            options=options):
             email = commit.author.email
@@ -75,8 +79,7 @@ class ActivityAnalyzer:
                 activity = DeveloperActivity(name=commit.author.name,
                                              email=email)
                 activities[email] = activity
-            patch = self._repository.show(commit)
-            paths = patch.paths()
+            paths = self._repository.changed_paths(commit)
             if not paths:
                 continue
             activity.patches += 1
@@ -84,20 +87,26 @@ class ActivityAnalyzer:
             for path in paths:
                 activity.file_touches[path] = \
                     activity.file_touches.get(path, 0) + 1
-                for entry in self._maintainers.entries_for_path(path):
-                    activity.subsystems.add(entry.name)
-                    activity.lists.update(entry.lists)
-                    if email in entry.maintainer_emails():
-                        is_maintainer_patch = True
+                entries = covering.get(path)
+                if entries is None:
+                    entries = covering[path] = self._covering(path)
+                names, lists, maintainer_emails = entries
+                activity.subsystems.update(names)
+                activity.lists.update(lists)
+                if email in maintainer_emails:
+                    is_maintainer_patch = True
             if is_maintainer_patch:
                 activity.maintainer_patches += 1
         return activities
 
-    def patch_count(self, email: str, since: str | None = None,
-                    until: str | None = None) -> int:
-        """Number of patches by one developer in a window."""
-        count = 0
-        for commit in self._repository.log(since=since, until=until):
-            if commit.author.email == email:
-                count += 1
-        return count
+    def _covering(self, path: str) -> tuple[set[str], set[str], set[str]]:
+        """Names, lists and maintainer emails of the entries covering
+        the path."""
+        names: set[str] = set()
+        lists: set[str] = set()
+        emails: set[str] = set()
+        for entry in self._maintainers.entries_for_path(path):
+            names.add(entry.name)
+            lists.update(entry.lists)
+            emails.update(entry.maintainer_emails())
+        return names, lists, emails

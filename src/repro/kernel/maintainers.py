@@ -86,26 +86,6 @@ class MaintainersDb:
         """All entries whose patterns cover the path."""
         return [entry for entry in self.entries if entry.matches(path)]
 
-    def subsystems_for_path(self, path: str) -> list[str]:
-        """Entry names covering the path (the §IV subsystem proxy)."""
-        return [entry.name for entry in self.entries_for_path(path)]
-
-    def lists_for_path(self, path: str) -> list[str]:
-        """Deduplicated mailing lists designated for the path."""
-        lists: list[str] = []
-        for entry in self.entries_for_path(path):
-            for list_addr in entry.lists:
-                if list_addr not in lists:
-                    lists.append(list_addr)
-        return lists
-
-    def maintainer_emails_for_path(self, path: str) -> set[str]:
-        """Union of maintainer emails over matching entries."""
-        emails: set[str] = set()
-        for entry in self.entries_for_path(path):
-            emails.update(entry.maintainer_emails())
-        return emails
-
     def render(self) -> str:
         """The whole database in MAINTAINERS file syntax."""
         header = ("List of maintainers and how to submit kernel changes\n"

@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from repro.errors import PatchApplyError, PatchFormatError
-from repro.util.text import split_lines_keepends
 
 
 class LineKind(str, Enum):
@@ -258,6 +257,40 @@ def _validate(patch: Patch) -> None:
                     f"({old_seen},{new_seen})")
 
 
+def _lines(text: str) -> list[str]:
+    """The text's lines without their ``\\n``: a final ``\\n`` ends
+    the last line rather than starting an empty one."""
+    lines = text.split("\n")
+    if not lines[-1]:
+        lines.pop()
+    return lines
+
+
+def _squeezed(lines: list[str]) -> list[str]:
+    """Each line with all of its whitespace removed (``-w``)."""
+    return ["".join(line.split()) for line in lines]
+
+
+def texts_differ(old: str, new: str, *,
+                 ignore_whitespace: bool = False) -> bool:
+    """True exactly when :func:`diff_texts` would return a FileDiff.
+
+    That is when the two line lists differ, compared with all
+    whitespace removed from each line under ``ignore_whitespace``.
+    """
+    if old == new:
+        return False
+    if not ignore_whitespace:
+        return _lines(old) != _lines(new)
+    # A text stripped of all whitespace is its squeezed lines joined, so
+    # texts that differ stripped differ line by line too. Equal stripped
+    # texts can still split differently: a moved line break, a blank
+    # line added or removed.
+    if "".join(old.split()) != "".join(new.split()):
+        return True
+    return _squeezed(_lines(old)) != _squeezed(_lines(new))
+
+
 def diff_texts(path: str, old: str, new: str, *, context: int = 3,
                ignore_whitespace: bool = False) -> FileDiff | None:
     """Produce a :class:`FileDiff` between two file texts.
@@ -266,58 +299,46 @@ def diff_texts(path: str, old: str, new: str, *, context: int = 3,
     ``ignore_whitespace``, equal modulo whitespace — the ``-w`` behaviour
     the paper's git invocation uses).
     """
-    old_lines = [line.rstrip("\n") for line in split_lines_keepends(old)]
-    new_lines = [line.rstrip("\n") for line in split_lines_keepends(new)]
-
+    old_lines = _lines(old)
+    new_lines = _lines(new)
     if ignore_whitespace:
-        def normalize(line: str) -> str:
-            return "".join(line.split())
-        matcher = difflib.SequenceMatcher(
-            a=[normalize(line) for line in old_lines],
-            b=[normalize(line) for line in new_lines], autojunk=False)
+        matcher = difflib.SequenceMatcher(a=_squeezed(old_lines),
+                                          b=_squeezed(new_lines),
+                                          autojunk=False)
     else:
         matcher = difflib.SequenceMatcher(a=old_lines, b=new_lines,
                                           autojunk=False)
 
-    file_diff = FileDiff(path=path)
+    context_kind, removed, added = \
+        LineKind.CONTEXT, LineKind.REMOVED, LineKind.ADDED
+    hunks: list[Hunk] = []
     for group in matcher.get_grouped_opcodes(context):
         first, last = group[0], group[-1]
-        hunk = Hunk(
-            old_start=first[1] + 1 if first[2] > first[1] else first[1],
-            old_count=last[2] - first[1],
-            new_start=first[3] + 1 if first[4] > first[3] else first[3],
-            new_count=last[4] - first[3],
-        )
-        # difflib start for empty ranges needs the "line before" convention.
-        if hunk.old_count == 0:
-            hunk.old_start = first[1]
-        else:
-            hunk.old_start = first[1] + 1
-        if hunk.new_count == 0:
-            hunk.new_start = first[3]
-        else:
-            hunk.new_start = first[3] + 1
+        old_count = last[2] - first[1]
+        new_count = last[4] - first[3]
+        # a side with no lines reports the line before the hunk
+        hunk = Hunk(first[1] + 1 if old_count else first[1], old_count,
+                    first[3] + 1 if new_count else first[3], new_count)
+        append = hunk.lines.append
         for tag, i1, i2, j1, j2 in group:
-            if tag in ("equal",):
-                for offset, line in enumerate(old_lines[i1:i2]):
-                    hunk.lines.append(HunkLine(
-                        LineKind.CONTEXT, line,
-                        old_lineno=i1 + offset + 1,
-                        new_lineno=j1 + offset + 1))
-            if tag in ("replace", "delete"):
-                for offset, line in enumerate(old_lines[i1:i2]):
-                    hunk.lines.append(HunkLine(
-                        LineKind.REMOVED, line,
-                        old_lineno=i1 + offset + 1, new_lineno=None))
-            if tag in ("replace", "insert"):
-                for offset, line in enumerate(new_lines[j1:j2]):
-                    hunk.lines.append(HunkLine(
-                        LineKind.ADDED, line,
-                        old_lineno=None, new_lineno=j1 + offset + 1))
-        file_diff.hunks.append(hunk)
-    if not file_diff.hunks:
+            if tag == "equal":
+                for old_no, new_no in zip(range(i1 + 1, i2 + 1),
+                                          range(j1 + 1, j2 + 1)):
+                    append(HunkLine(context_kind, old_lines[old_no - 1],
+                                    old_no, new_no))
+                continue
+            if tag != "insert":
+                for old_no in range(i1 + 1, i2 + 1):
+                    append(HunkLine(removed, old_lines[old_no - 1],
+                                    old_no, None))
+            if tag != "delete":
+                for new_no in range(j1 + 1, j2 + 1):
+                    append(HunkLine(added, new_lines[new_no - 1],
+                                    None, new_no))
+        hunks.append(hunk)
+    if not hunks:
         return None
-    return file_diff
+    return FileDiff(path, hunks)
 
 
 def apply_file_diff(old: str, file_diff: FileDiff) -> str:
@@ -326,7 +347,7 @@ def apply_file_diff(old: str, file_diff: FileDiff) -> str:
     Context and removed lines are verified against the old text; any
     mismatch raises :class:`PatchApplyError` (the substrate never fuzzes).
     """
-    old_lines = [line.rstrip("\n") for line in split_lines_keepends(old)]
+    old_lines = _lines(old)
     out: list[str] = []
     cursor = 0  # 0-based index into old_lines
     for hunk in file_diff.hunks:

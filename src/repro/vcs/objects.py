@@ -15,7 +15,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Iterator, Mapping
+from typing import ItemsView, Iterator, Mapping
 
 
 @dataclass(frozen=True)
@@ -87,6 +87,11 @@ class Tree:
     def paths(self) -> list[str]:
         """Sorted file paths."""
         return list(self._files)
+
+    def items(self) -> ItemsView[str, str]:
+        """``(path, text)`` pairs in path order; ``(path, text) in``
+        this view is one lookup."""
+        return self._files.items()
 
     def with_files(self, updates: Mapping[str, str]) -> "Tree":
         """Return a new tree with the given files replaced or added."""

@@ -4,7 +4,8 @@ Mirrors the git operations the paper's pipeline performs:
 
 - ``git log -w --diff-filter=M --no-merges v4.3..v4.4`` →
   :meth:`Repository.log` with :class:`LogOptions`.
-- ``git show <id>`` → :meth:`Repository.show`.
+- ``git show <id>`` → :meth:`Repository.show`, and the files it
+  lists → :meth:`Repository.changed_paths`.
 - ``git reset --hard`` / ``git clean -dfx`` → :class:`Worktree`
   (:meth:`Worktree.reset_hard`, :meth:`Worktree.clean`).
 """
@@ -16,7 +17,13 @@ from itertools import islice
 from typing import Iterator
 
 from repro.errors import VcsError
-from repro.vcs.diff import FileDiff, Patch, apply_file_diff, diff_texts
+from repro.vcs.diff import (
+    FileDiff,
+    Patch,
+    apply_file_diff,
+    diff_texts,
+    texts_differ,
+)
 from repro.vcs.objects import Commit, Signature, Tree
 
 
@@ -37,20 +44,23 @@ class Repository:
         self._order: list[str] = []   # commit ids in topological (apply) order
         self._position: dict[str, int] = {}   # commit id -> index in _order
         self._tags: dict[str, str] = {}
-        # (commit id, ignore_whitespace) -> the Patch show() returned
+        # (commit id, ignore_whitespace) -> what changed_paths() and
+        # show() returned
+        self._changed: dict[tuple[str, bool], tuple[str, ...]] = {}
         self._patches: dict[tuple[str, bool], Patch] = {}
 
     def __getstate__(self) -> dict:
         # spawned transport workers receive whole corpora: ship only the
-        # history and rebuild the index and patch memo on the other side
+        # history and rebuild the index and memos on the other side
         state = self.__dict__.copy()
-        del state["_position"], state["_patches"]
+        del state["_position"], state["_changed"], state["_patches"]
         return state
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
         self._position = {commit_id: index
                           for index, commit_id in enumerate(self._order)}
+        self._changed = {}
         self._patches = {}
 
     # -- writing history -------------------------------------------------
@@ -110,8 +120,7 @@ class Repository:
         return self._commits[commit.parents[0]].tree
 
     def log(self, since: str | None = None, until: str | None = None,
-            options: LogOptions | None = None,
-            author: str | None = None) -> list[Commit]:
+            options: LogOptions | None = None) -> list[Commit]:
         """Commits in apply order within ``(since, until]``, filtered.
 
         ``--diff-filter=M`` keeps only commits whose diff against their
@@ -120,7 +129,7 @@ class Repository:
         """
         start = self._position_after(since)
         end = None if until is None else self._position_after(until)
-        return list(self._filtered(start, end, options, author))
+        return list(self._filtered(start, end, options))
 
     def _position_after(self, ref: str | None) -> int:
         """Index in apply order just past ``ref``; 0 when it is None."""
@@ -129,21 +138,16 @@ class Repository:
         return self._position[self.resolve(ref).id] + 1
 
     def _filtered(self, start: int, end: int | None,
-                  options: LogOptions | None,
-                  author: str | None = None) -> Iterator[Commit]:
+                  options: LogOptions | None) -> Iterator[Commit]:
         """Commits of ``_order[start:end]`` that pass the log filters."""
         options = options or LogOptions()
         for commit_id in islice(self._order, start, end):
             commit = self._commits[commit_id]
-            if author is not None and author not in (
-                    commit.author.name, commit.author.email):
-                continue
             if options.no_merges and commit.is_merge:
                 continue
-            if options.modifications_only:
-                patch = self.show(commit, ignore_whitespace=options.ignore_whitespace)
-                if not patch.files:
-                    continue
+            if options.modifications_only and not self.changed_paths(
+                    commit, options.ignore_whitespace):
+                continue
             yield commit
 
     def commits_after(self, cursor: str | None = None,
@@ -168,6 +172,44 @@ class Repository:
         stream = self._filtered(self._position_after(cursor), None, options)
         return list(islice(stream, limit))
 
+    def changed_paths(self, commit: Commit | str,
+                      ignore_whitespace: bool = True) -> tuple[str, ...]:
+        """The paths :meth:`show` lists for a commit, without its hunks.
+
+        These are the files that exist in both the parent and the
+        commit tree and whose lines differ (modulo whitespace with
+        ``ignore_whitespace``), in path order. Readers that need only
+        which files changed (the ``--diff-filter=M`` test, the janitor
+        analysis, the checkable filter) read them here, so a commit's
+        hunks are built only by the check that reads them.
+
+        Memoized per ``(commit id, ignore_whitespace)``, like ``show``.
+        """
+        if isinstance(commit, str):
+            commit = self.resolve(commit)
+        key = (commit.id, ignore_whitespace)
+        paths = self._changed.get(key)
+        if paths is None:
+            paths = self._changed[key] = self._changed_paths(
+                commit, ignore_whitespace)
+        return paths
+
+    def _changed_paths(self, commit: Commit,
+                       ignore_whitespace: bool) -> tuple[str, ...]:
+        """One walk of the two trees' path → text maps."""
+        old_tree = self.parent_tree(commit)
+        old_files = old_tree.items()
+        changed = []
+        # a (path, text) pair the parent tree holds too is unchanged;
+        # what is left are added paths and edited texts
+        for path, new_text in [item for item in commit.tree.items()
+                               if item not in old_files]:
+            old_text = old_tree.get(path)
+            if old_text is not None and texts_differ(
+                    old_text, new_text, ignore_whitespace=ignore_whitespace):
+                changed.append(path)
+        return tuple(changed)
+
     def show(self, commit: Commit | str,
              ignore_whitespace: bool = True) -> Patch:
         """The patch a commit applies relative to its first parent.
@@ -189,22 +231,13 @@ class Repository:
         return patch
 
     def _diff(self, commit: Commit, ignore_whitespace: bool) -> Patch:
-        """Diff a commit's tree against its first parent's."""
+        """Diff the paths :meth:`changed_paths` names, and no others."""
         old_tree = self.parent_tree(commit)
         new_tree = commit.tree
-        patch = Patch()
-        for path in new_tree.paths():
-            if path not in old_tree:
-                continue
-            old_text = old_tree[path]
-            new_text = new_tree[path]
-            if old_text == new_text:
-                continue
-            file_diff = diff_texts(path, old_text, new_text,
-                                   ignore_whitespace=ignore_whitespace)
-            if file_diff is not None:
-                patch.files.append(file_diff)
-        return patch
+        return Patch([
+            diff_texts(path, old_tree[path], new_tree[path],
+                       ignore_whitespace=ignore_whitespace)
+            for path in self.changed_paths(commit, ignore_whitespace)])
 
     def checkout(self, ref: str | Commit) -> "Worktree":
         """A mutable worktree over one commit."""

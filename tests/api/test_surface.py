@@ -44,7 +44,7 @@ API_NAMES = (
     "collect_substrate_metrics", "configure_logging", "diff_texts",
     "evaluate", "extract_changed_files", "figure5_overall",
     "generate_tree", "histogram_quantiles", "ingest_ledger",
-    "janitor_report", "migrate_record", "open_store",
+    "is_checkable", "janitor_report", "migrate_record", "open_store",
     "parse_openmetrics", "query_verdicts", "read_jsonl",
     "render_span_tree", "resolve_outputs", "scaled_criteria", "serve",
     "span_count", "table1", "table2", "table3", "table4",

@@ -1,11 +1,17 @@
-"""Tests for changed-line extraction."""
+"""Tests for changed-line extraction and the checkable rule."""
+
+import pytest
 
 from repro.core.changes import (
     ChangedFile,
     changed_lines_of_file_diff,
     extract_changed_files,
+    is_checkable,
 )
 from repro.vcs.diff import Patch, diff_texts
+from repro.vcs.objects import Signature, Tree
+from repro.vcs.repository import Repository
+from repro.workload.corpus import Corpus
 
 OLD = """\
 int a;
@@ -107,3 +113,34 @@ class TestExtraction:
         patch = Patch(files=[file_diff])
         changed = extract_changed_files(patch, new_texts={"f.c": new})
         assert changed[0].changed_lines == [1]
+
+
+class TestIsCheckable:
+    """The checkable rule reads changed paths and agrees with the
+    changed files extracted from the diffed patch."""
+
+    @pytest.mark.parametrize("corpus_name",
+                             ["small_corpus", "midsize_corpus"])
+    def test_matches_extracted_files_on_the_window(self, request,
+                                                   corpus_name):
+        repository = request.getfixturevalue(corpus_name).repository
+        window = repository.log(since=Corpus.TAG_EVAL_START,
+                                until=Corpus.TAG_EVAL_END)
+        verdicts = [is_checkable(repository, commit) for commit in window]
+        assert verdicts == [
+            bool(extract_changed_files(repository.show(commit)))
+            for commit in window]
+        assert any(verdicts) and not all(verdicts)
+
+    def test_relevant_paths_decide(self):
+        sig = Signature("Dev", "dev@example.org", "2015-11-10T00:00:00")
+        repository = Repository()
+        files = {"drivers/a.c": "int a;\n", "tools/b.c": "int b;\n",
+                 "arch/x86/c.S": "nop\n", "include/d.h": "int d;\n"}
+        repository.commit(Tree(files), sig, "root")
+        expected = {"tools/b.c": False, "arch/x86/c.S": False,
+                    "drivers/a.c": True, "include/d.h": True}
+        for path, checkable in expected.items():
+            files = dict(files, **{path: files[path] + "int z;\n"})
+            commit = repository.commit(Tree(files), sig, f"edit {path}")
+            assert is_checkable(repository, commit) is checkable, path

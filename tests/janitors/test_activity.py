@@ -81,10 +81,6 @@ class TestAnalyzer:
         activities = analyzer.analyze(since="start", until="end")
         assert "base@x.org" not in activities
 
-    def test_patch_count_helper(self, history):
-        analyzer = ActivityAnalyzer(history, maintainers_db())
-        assert analyzer.patch_count("carol@x.org") == 3
-
 
 class TestCv:
     def test_uniform_is_zero(self):

@@ -72,8 +72,8 @@ class TestStructure:
         assert "arch/powerpc/kernel/prom_init.c" in tree.rebuild_triggers
 
     def test_maintainers_cover_subsystems(self, tree):
-        assert tree.maintainers.subsystems_for_path("drivers/net/netdrv0.c")
-        assert tree.maintainers.subsystems_for_path(
+        assert tree.maintainers.entries_for_path("drivers/net/netdrv0.c")
+        assert tree.maintainers.entries_for_path(
             "arch/arm/kernel/arm_setup0.c")
 
     def test_hazards_injected(self, tree):

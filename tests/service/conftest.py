@@ -19,7 +19,7 @@ import pickle
 
 import pytest
 
-from repro.core.changes import extract_changed_files
+from repro.core.changes import is_checkable
 from repro.service.transport.base import live_transports
 from repro.workload.corpus import Corpus
 
@@ -33,7 +33,7 @@ def checkable_commits(small_corpus):
     commits = repository.log(since=Corpus.TAG_EVAL_START,
                              until=Corpus.TAG_EVAL_END)
     return [commit for commit in commits
-            if extract_changed_files(repository.show(commit))]
+            if is_checkable(repository, commit)]
 
 
 @pytest.fixture(scope="session")

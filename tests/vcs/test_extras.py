@@ -1,4 +1,4 @@
-"""Tests for patch stats and log author filtering."""
+"""Tests for patch stats and the authors of logged commits."""
 
 from repro.vcs.diff import Patch, diff_texts
 from repro.vcs.objects import Signature, Tree
@@ -27,31 +27,20 @@ class TestPatchStats:
         assert "1 file(s) changed" in patch.stats().render()
 
 
-class TestAuthorFilter:
-    def make_repo(self):
+class TestLogAuthors:
+    def test_log_keeps_every_authors_commits(self):
         repo = Repository()
         files = {"a.c": "int a;\n"}
         repo.commit(Tree(files), Signature(
             "Base", "base@x.org", "2015-01-01T00:00:00"), "base")
-        for index, (name, email) in enumerate(
-                [("Alice", "alice@x.org"), ("Bob", "bob@x.org"),
-                 ("Alice", "alice@x.org")]):
+        authors = [("Alice", "alice@x.org"), ("Bob", "bob@x.org"),
+                   ("Alice", "alice@x.org")]
+        for index, (name, email) in enumerate(authors):
             files = dict(files)
             files["a.c"] = f"int a{index};\n"
             repo.commit(Tree(files), Signature(
                 name, email, f"2015-01-0{index + 2}T00:00:00"),
                 f"change {index}")
-        return repo
-
-    def test_filter_by_email(self):
-        repo = self.make_repo()
-        assert len(repo.log(author="alice@x.org")) == 2
-        assert len(repo.log(author="bob@x.org")) == 1
-
-    def test_filter_by_name(self):
-        repo = self.make_repo()
-        assert len(repo.log(author="Alice")) == 2
-
-    def test_unknown_author_empty(self):
-        repo = self.make_repo()
-        assert repo.log(author="nobody@x.org") == []
+        # the root commit has no parent to modify a file against
+        assert [(commit.author.name, commit.author.email)
+                for commit in repo.log()] == authors
