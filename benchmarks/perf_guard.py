@@ -87,13 +87,14 @@ SUITE_GUARDS = {
         ),
         "speedups": {},
     },
-    # the mp-over-asyncio speedup floor is core-count dependent, so it
-    # is asserted (gated) inside test_perf_transport_throughput rather
-    # than here; the guard holds each transport's absolute throughput
+    # the socket-over-asyncio speedup floor is core-count dependent, so
+    # it is asserted (gated) inside test_perf_transport_throughput
+    # rather than here; the guard holds each transport's absolute
+    # throughput
     "service": {
         "stages": (
             "service_asyncio_steady",
-            "service_mp_steady",
+            "service_socket_steady",
         ),
         "speedups": {},
     },

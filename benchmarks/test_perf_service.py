@@ -32,10 +32,10 @@ CONCURRENT_REQUESTS = 8
 SPEEDUP_FLOOR = 1.5
 
 #: transport steady-state comparison (ISSUE 8): jobs per transport and
-#: the mp-over-asyncio acceptance floor, which only binds on machines
-#: with enough cores to actually run the workers in parallel
+#: the socket-over-asyncio acceptance floor, which only binds on
+#: machines with enough cores to actually run the workers in parallel
 TRANSPORT_JOBS = 4
-MP_SPEEDUP_FLOOR = 2.5
+SOCKET_SPEEDUP_FLOOR = 2.5
 TRANSPORT_COMMITS = 24
 
 
@@ -112,8 +112,9 @@ def _steady_state_run(corpus, commit_ids, transport):
     """Warm-up batch, then a timed batch on the same live workers.
 
     The service is started once and drained once, so the timed batch
-    hits warm workers: mp children have primed their caches during the
-    warm-up, matching the long-lived serve-mode steady state.
+    hits warm workers: the socket workers have primed their caches
+    during the warm-up, matching the long-lived serve-mode steady
+    state.
     """
 
     async def main():
@@ -140,33 +141,35 @@ def _steady_state_run(corpus, commit_ids, transport):
 
 def test_perf_transport_throughput(bench_corpus, transport_batch,
                                    artifacts_dir, record_artifact):
-    """mp steady-state throughput vs asyncio; emits BENCH_service.json.
+    """socket steady-state throughput vs asyncio; emits
+    BENCH_service.json.
 
-    The acceptance bar (ISSUE 8): at ``--jobs 4`` the warm
-    multiprocessing pool must clear 2.5x the asyncio transport's
-    steady-state throughput. That bar measures real parallelism, so it
-    only binds where 4 workers can actually run concurrently; on
-    smaller machines the benchmark still runs, records the artifact,
-    and pins byte-identity, but skips the floor assertion.
+    The acceptance bar: at ``--jobs 4`` the warm worker pool must
+    clear 2.5x the asyncio transport's steady-state throughput. That
+    bar measures real parallelism, so it only binds where 4 workers
+    can actually run concurrently; on smaller machines the benchmark
+    still runs, records the artifact, and pins byte-identity, but
+    skips the floor assertion.
     """
     commit_ids = [commit.id for commit in transport_batch]
     cores = _usable_cores()
 
     asyncio_results, t_asyncio = _steady_state_run(
         bench_corpus, commit_ids, "asyncio")
-    mp_results, t_mp = _steady_state_run(
-        bench_corpus, commit_ids, "mp")
+    socket_results, t_socket = _steady_state_run(
+        bench_corpus, commit_ids, "socket")
 
     # substrate is pure scheduling: the records must not drift
-    assert [result.record for result in mp_results] == \
+    assert [result.record for result in socket_results] == \
         [result.record for result in asyncio_results]
 
-    speedup = t_asyncio / t_mp
+    speedup = t_asyncio / t_socket
     calibration = calibrate()
     stages = [
         stage("service_asyncio_steady", len(commit_ids), t_asyncio,
               calibration),
-        stage("service_mp_steady", len(commit_ids), t_mp, calibration),
+        stage("service_socket_steady", len(commit_ids), t_socket,
+              calibration),
     ]
     payload = {
         "suite": "service",
@@ -174,7 +177,7 @@ def test_perf_transport_throughput(bench_corpus, transport_batch,
         "jobs": TRANSPORT_JOBS,
         "usable_cores": cores,
         "stages": stages,
-        "speedup": {"mp_over_asyncio": round(speedup, 2)},
+        "speedup": {"socket_over_asyncio": round(speedup, 2)},
     }
     out = artifacts_dir / "BENCH_service.json"
     out.write_text(json.dumps(payload, indent=2) + "\n")
@@ -184,14 +187,14 @@ def test_perf_transport_throughput(bench_corpus, transport_batch,
         f"jobs per transport:      {TRANSPORT_JOBS}",
         f"usable cores:            {cores}",
         f"asyncio (steady state):  {t_asyncio:.3f}s",
-        f"mp (steady state):       {t_mp:.3f}s",
-        f"mp/asyncio speedup:      {speedup:.2f}x "
-        f"(floor {MP_SPEEDUP_FLOOR}x on >= {TRANSPORT_JOBS} cores)",
+        f"socket (steady state):   {t_socket:.3f}s",
+        f"socket/asyncio speedup:  {speedup:.2f}x "
+        f"(floor {SOCKET_SPEEDUP_FLOOR}x on >= {TRANSPORT_JOBS} cores)",
         "records:                 byte-identical across transports",
     ]))
 
     if cores >= TRANSPORT_JOBS:
-        assert speedup >= MP_SPEEDUP_FLOOR, (
-            f"mp transport {speedup:.2f}x below the "
-            f"{MP_SPEEDUP_FLOOR}x acceptance floor at "
+        assert speedup >= SOCKET_SPEEDUP_FLOOR, (
+            f"socket transport {speedup:.2f}x below the "
+            f"{SOCKET_SPEEDUP_FLOOR}x acceptance floor at "
             f"--jobs {TRANSPORT_JOBS}")

@@ -887,14 +887,13 @@ def main(argv: list[str] | None = None) -> int:
                        help="requests to submit from the eval window")
     serve.add_argument("--seed", default="jmake-cli")
     serve.add_argument("--transport", default="asyncio",
-                       choices=("asyncio", "mp", "socket"),
+                       choices=("asyncio", "socket"),
                        help="execution backend: checks on this "
-                            "process's asyncio loop, warm "
-                            "multiprocessing workers over pipes, or "
-                            "workers over a localhost socket speaking "
-                            "the framed wire protocol")
+                            "process's asyncio loop, or warm worker "
+                            "processes over a socket speaking the "
+                            "framed wire protocol")
     serve.add_argument("--jobs", type=int, default=2,
-                       help="worker processes for mp/socket transports "
+                       help="worker processes for the socket transport "
                             "(default: 2)")
     serve.add_argument("--start-method", default=None,
                        choices=("fork", "spawn", "forkserver"),
@@ -1067,10 +1066,10 @@ def main(argv: list[str] | None = None) -> int:
                        help="follow mode: stop after this long with "
                             "no new commits (default: wait forever)")
     watch.add_argument("--transport", default="asyncio",
-                       choices=("asyncio", "mp", "socket"),
+                       choices=("asyncio", "socket"),
                        help="check-service execution backend")
     watch.add_argument("--jobs", type=int, default=2,
-                       help="worker processes for mp/socket transports "
+                       help="worker processes for the socket transport "
                             "(default: 2)")
     watch.add_argument("--start-method", default=None,
                        choices=("fork", "spawn", "forkserver"),

@@ -285,13 +285,13 @@ class EvaluationSession:
         :class:`~repro.service.service.CheckService`. ``jobs`` > 1
         distributes patches over worker processes the way the paper ran
         25 parallel processes on its testbed (§V-A), through a service
-        on the mp transport with ``jobs`` workers that admits every
-        commit at once. ``service`` routes the commits through a service
-        explicitly — ``True`` for the default config, or a full
-        ``ServiceConfig``, which wins over ``jobs``. Verdict-bearing
-        records, and the span trees and pipeline metrics of an observed
-        run, are the same under every driver: every check is a pure
-        function of (corpus, commit).
+        on the socket transport with ``jobs`` locally spawned workers
+        that admits every commit at once. ``service`` routes the
+        commits through a service explicitly — ``True`` for the default
+        config, or a full ``ServiceConfig``, which wins over ``jobs``.
+        Verdict-bearing records, and the span trees and pipeline
+        metrics of an observed run, are the same under every driver:
+        every check is a pure function of (corpus, commit).
 
         ``journal`` names a write-ahead verdict journal: every patch
         verdict is durably appended the moment it exists, under every
@@ -367,7 +367,7 @@ class EvaluationSession:
             # every commit admitted at once: the transport batches from
             # the whole task list
             service = ServiceConfig(
-                transport="mp", jobs=jobs,
+                transport="socket", jobs=jobs,
                 max_pending_requests=max(1, len(pending)))
         _logger.info("checking %d commits (%d replayed from journal; "
                      "jobs=%d, observe=%s, service=%s)", len(pending),

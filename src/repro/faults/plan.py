@@ -94,7 +94,7 @@ SITE_COMPILE = "compile"          # BuildSystem.make_o
 SITE_CACHE_LOAD = "cache_load"    # BuildCache probes + BuildCache.load
 SITE_CACHE_STORE = "cache_store"  # BuildCache stores + BuildCache.save
 SITE_WORKER = "worker"            # worker process assignment pickup
-                                  # (mp and socket transports only)
+                                  # (socket transport only)
 SITE_JOURNAL_APPEND = "journal_append"  # Journal.append frame write
 
 INJECTION_SITES = (SITE_CONFIG, SITE_PREPROCESS, SITE_COMPILE,

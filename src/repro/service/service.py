@@ -8,11 +8,11 @@ own FaultInjector scope, own BuildSystem and quarantine).
 
 *Where* a request executes is the transport's business
 (:mod:`repro.service.transport`): the default ``asyncio`` transport
-checks each request whole on this loop, while the ``mp`` and
-``socket`` transports ship whole commit assignments to warm worker
-processes over the wire codec. Every check is a pure function of
-(corpus, commit), so the differential suite pins all three transports
-byte-identical to the sequential ``EvaluationSession``.
+checks each request whole on this loop, while the ``socket``
+transport ships whole commit assignments to warm worker processes over
+the wire codec. Every check is a pure function of (corpus, commit), so
+the differential suite pins both transports byte-identical to the
+sequential ``EvaluationSession``.
 
 Admission control: ``submit()`` awaits a bounded slot (backpressure),
 ``submit_nowait()`` raises :class:`~repro.errors.
@@ -57,7 +57,7 @@ from repro.service.transport.remote import SupervisorConfig
 from repro.util.validate import validate_jobs
 from repro.workload.corpus import Corpus
 
-#: start methods ``multiprocessing`` supports for remote transports
+#: start methods ``multiprocessing`` supports for worker processes
 START_METHODS = ("fork", "spawn", "forkserver")
 
 _logger = get_logger("service")
@@ -89,16 +89,17 @@ class ServiceConfig:
     #: timeseries.Snapshotter`); started/stopped with the service when
     #: it carries an interval, sampled once at drain either way
     snapshotter: object = None
-    #: remote transports: worker supervision tunables (None ->
+    #: socket transport: worker supervision tunables (None ->
     #: SupervisorConfig defaults)
     supervisor: "SupervisorConfig | None" = None
-    #: execution backend: "asyncio" (checks on this process's loop),
-    #: "mp" (warm worker processes over pipes), or "socket" (warm
-    #: workers over the CRC32-framed localhost protocol)
+    #: execution backend: "asyncio" (checks on this process's loop)
+    #: or "socket" (warm worker processes over the CRC32-framed
+    #: protocol, dialing a loopback listener unless ``listen`` says
+    #: otherwise)
     transport: str = "asyncio"
-    #: worker processes for remote transports
+    #: worker processes for the socket transport
     jobs: int = 2
-    #: multiprocessing start method for remote transports; None reads
+    #: multiprocessing start method for worker processes; None reads
     #: JMAKE_START_METHOD from the environment (default "fork"), which
     #: is how CI runs the whole transport surface under ``spawn``
     start_method: "str | None" = None
@@ -122,7 +123,7 @@ class ServiceConfig:
     #: socket transport: seconds a partitioned worker may dial back
     #: and rejoin without burning restart budget (0 = no grace)
     reconnect_grace_seconds: float = 0.0
-    #: remote transports: ceiling on worker startup/registration
+    #: socket transport: ceiling on worker startup/registration
     #: (None -> the transport default, 120s)
     hello_timeout_seconds: "float | None" = None
 

@@ -8,10 +8,9 @@ public API; the transport decides *where* the pipeline runs:
 
 - ``asyncio`` (:mod:`.local`): each request checked whole on the
   service's own loop by :func:`run_inline`;
-- ``mp`` (:mod:`.mp`): a pool of warm worker processes fed over
-  ``multiprocessing`` pipes with wire-codec frames;
-- ``socket`` (:mod:`.sock`): the same warm workers connected back over
-  a localhost TCP socket speaking the length-prefixed CRC32 protocol.
+- ``socket`` (:mod:`.sock`): a pool of warm worker processes connected
+  back over TCP (loopback, or cross-host) speaking the length-prefixed
+  CRC32 protocol.
 
 Every transport runs a request whole, one ``CheckSession.check_commit``
 call (:func:`check_whole`), like the sequential driver. Every check is
@@ -34,7 +33,7 @@ from repro.core.jmake import CheckSession
 from repro.obs.tracer import Tracer
 
 #: the vocabulary ``ServiceConfig.transport`` accepts
-TRANSPORT_KINDS = ("asyncio", "mp", "socket")
+TRANSPORT_KINDS = ("asyncio", "socket")
 
 #: every started-but-not-drained transport, for the test-suite leak
 #: check (weak so forgotten services still get collected eventually)
@@ -63,9 +62,9 @@ class TransportOutcome:
 
     ``quarantine`` maps quarantined architecture -> trip reason for the
     finished request (the service emits quarantine events and ops
-    telemetry from it — remote transports have no ``session.last_build``
-    to inspect). ``span_tree`` is the check's serialized root span when
-    the service has a tracer, else None.
+    telemetry from it — the socket transport has no
+    ``session.last_build`` to inspect). ``span_tree`` is the check's
+    serialized root span when the service has a tracer, else None.
     """
 
     report: object
@@ -99,8 +98,8 @@ def check_whole(corpus, commit_id: str, *, trace: bool,
 def run_inline(service, request) -> TransportOutcome:
     """Check one request whole in this process.
 
-    The asyncio transport runs every request this way; the remote
-    transports fall back to it once every worker's breaker is open.
+    The asyncio transport runs every request this way; the socket
+    transport falls back to it once every worker's breaker is open.
     """
     return check_whole(
         service.corpus, request.commit_id,
@@ -153,9 +152,6 @@ def create_transport(service, kind: str):
     if kind == "asyncio":
         from repro.service.transport.local import AsyncioTransport
         return AsyncioTransport(service)
-    if kind == "mp":
-        from repro.service.transport.mp import MpTransport
-        return MpTransport(service)
     if kind == "socket":
         from repro.service.transport.sock import SocketTransport
         return SocketTransport(service)

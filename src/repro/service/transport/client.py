@@ -24,15 +24,30 @@ verdict it might still hold from the previous session carries the old
 epoch and is fenced off by the coordinator, which is what makes
 requeue-after-partition idempotent instead of duplicating verdicts.
 
-Chaos semantics here are the *network* ones (richer than the pipe
-worker's): ``net_partition`` severs the socket but keeps the process
-alive to reconnect, ``net_slow`` delays the verdict while heartbeats
-keep the lease warm, ``net_half_open`` goes silent on an open socket
-so only lease expiry can reclaim the assignment.
+Chaos lives here too: the WORK frame's ``chaos`` field is the
+coordinator's worker-site fault decision for this pickup (one frame),
+and every worker, spawned or connected, executes it the same way.
+``worker_kill``/``worker_crash`` hard-exit before the batch runs (the
+requeue replays nothing), ``socket_drop`` severs the socket mid-claim
+and exits, ``worker_hang`` parks the process until the coordinator's
+hang deadline reaps it, ``net_partition`` severs the socket but keeps
+the process alive to reconnect, ``net_slow`` delays the verdict while
+heartbeats keep the lease warm, ``net_half_open`` goes silent on an
+open socket so only lease expiry can reclaim the assignment. The
+*effects* are real — a dead child, a closed socket, a silent peer — so
+the detection paths the chaos suite exercises are the production ones.
+
+A worker that ``multiprocessing`` started exits instead of dialing
+once that parent has exited. Its waits for CHALLENGE and WELCOME end
+after the coordinator's own handshake bound
+(``wire.HANDSHAKE_TIMEOUT_SECONDS``), or as soon as that parent exits,
+so a killed coordinator leaves no worker behind. A ``jmake worker
+--connect`` process has no such parent and keeps redialing.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import threading
 import time
@@ -57,13 +72,20 @@ from repro.faults.plan import (
 from repro.obs.events import EVENT_WORKER_RECONNECT
 from repro.service.transport import wire
 from repro.service.transport.worker import (
-    EXIT_CHAOS_DROP,
-    EXIT_CHAOS_KILL,
-    NET_SLOW_SECONDS,
     SocketChildChannel,
     WorkerInit,
     WorkerRuntime,
 )
+
+#: exit codes the coordinator logs for post-mortems (any non-zero exit
+#: is just "worker lost" to supervision)
+EXIT_CHAOS_KILL = 70
+EXIT_CHAOS_DROP = 71
+
+#: real seconds a ``net_slow`` assignment is delayed before it is
+#: served — long enough to be visible in timings, short enough that a
+#: heartbeat-backed lease never expires over it
+NET_SLOW_SECONDS = 0.35
 
 
 @dataclass(frozen=True)
@@ -138,6 +160,14 @@ class _HeartbeatThread:
         self._stop.set()
 
 
+def _orphaned() -> bool:
+    """True in a process ``multiprocessing`` started whose parent has
+    exited. ``os.getppid()`` cannot tell: under ``forkserver`` the OS
+    parent is the fork server, which outlives the coordinator."""
+    parent = multiprocessing.parent_process()
+    return parent is not None and not parent.is_alive()
+
+
 class WorkerClient:
     """One worker session: dial, authenticate, rebuild, serve, retry.
 
@@ -194,7 +224,8 @@ class WorkerClient:
         Raises :class:`AuthError` on a typed rejection (permanent) and
         :class:`TransportError` on anything else (retryable).
         """
-        message = channel.recv_message()
+        message = channel.recv_message(
+            timeout=wire.HANDSHAKE_TIMEOUT_SECONDS)
         if message is None:
             raise TransportError("connection closed before CHALLENGE")
         msg_type, payload = message
@@ -208,7 +239,8 @@ class WorkerClient:
         channel.send(wire.encode_frame(wire.MSG_HELLO, wire.hello_message(
             self.worker_id, os.getpid(), self.start_method,
             tree_id=tree_id, auth=token)))
-        message = channel.recv_message()
+        message = channel.recv_message(
+            timeout=wire.HANDSHAKE_TIMEOUT_SECONDS)
         if message is None:
             raise TransportError("connection closed before WELCOME")
         msg_type, payload = message
@@ -349,11 +381,12 @@ class WorkerClient:
 
         Raises :class:`AuthError` / :class:`CorpusMismatchError` on the
         permanent failures and :class:`TransportError` once consecutive
-        dial attempts exhaust the reconnect budget.
+        dial attempts exhaust the reconnect budget. Returns without
+        dialing again once the ``multiprocessing`` parent has exited.
         """
         attempt = 0
         registered_before = False
-        while not self._stopped:
+        while not self._stopped and not _orphaned():
             channel = None
             try:
                 channel = SocketChildChannel(self.host, self.port)
@@ -400,3 +433,18 @@ class WorkerClient:
     def stop(self) -> None:
         """Ask the dial loop to stop before its next connection."""
         self._stopped = True
+
+
+def socket_worker_main(host: str, port: int, init: WorkerInit) -> None:
+    """``multiprocessing.Process`` target for the socket transport.
+
+    Locally spawned workers run the same :class:`WorkerClient` a
+    cross-host ``jmake worker --connect`` process does — one handshake,
+    one lease protocol, one reconnect path, one chaos vocabulary,
+    whether the worker lives on this machine or another.
+    """
+    WorkerClient(host, port, auth_key=init.auth_key,
+                 worker_id=init.worker_id, corpus=init.corpus,
+                 options=init.options, fault_plan=init.fault_plan,
+                 retry_policy=init.retry_policy, cache=init.cache,
+                 start_method=init.start_method).run()

@@ -2,7 +2,7 @@
 
 Checks each admitted request whole on the service's own event loop,
 through :func:`~repro.service.transport.base.run_inline` — the helper
-the remote transports' inline drain also calls. Like the sequential
+the socket transport's inline drain also calls. Like the sequential
 driver it has no worker to supervise or fault: the check is one
 ``CheckSession.check_commit`` call in this process, with the ≤
 batch-limit ``make`` batching inside it (§III-D).

@@ -1,15 +1,16 @@
-"""Shared coordinator logic for process-backed transports.
+"""The coordinator side of warm worker processes.
 
-:class:`RemoteTransport` owns everything the mp and socket transports
-have in common: warm worker slots, wire-frame dispatch, uniform
-supervision, and telemetry relay. Subclasses only provide the channel
-plumbing (:meth:`_spawn` / :meth:`_connect`).
+:class:`RemoteTransport` owns warm worker slots, wire-frame dispatch,
+uniform supervision, and telemetry relay. The socket transport
+(:mod:`repro.service.transport.sock`) provides the channel plumbing
+(:meth:`_spawn` / :meth:`_connect`); the transport tests substitute
+scripted channels through the same two hooks.
 
-Supervision is one state machine for both transports — a dead child
-process and a dropped socket are the same worker crash:
+Supervision is one state machine — a dead child process and a dropped
+socket are the same worker crash:
 
 - **crash** — the channel reaches EOF while a batch is claimed
-  (child killed, pipe closed, socket reset);
+  (child killed, socket severed or reset);
 - **hang** — no reply lands within
   :attr:`SupervisorConfig.hang_deadline_seconds` (or, with heartbeats,
   the worker's lease lapses);
@@ -66,7 +67,6 @@ from repro.service.transport.base import (
     TransportOutcome,
     run_inline,
 )
-from repro.service.transport.worker import WorkerInit
 
 _logger = get_logger("service.transport")
 
@@ -237,17 +237,6 @@ class RemoteTransport(Transport):
     async def _connect(self, slot: WorkerSlot) -> None:
         """Wait until ``slot.channel`` is ready (HELLO consumed)."""
         raise NotImplementedError
-
-    def _worker_init(self, slot: WorkerSlot) -> WorkerInit:
-        service = self.service
-        return WorkerInit(
-            worker_id=slot.index,
-            start_method=self.start_method,
-            corpus=service.corpus,
-            options=service.options,
-            fault_plan=service.config.fault_plan,
-            retry_policy=service.config.retry_policy,
-            cache=service.cache)
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -589,9 +578,9 @@ class RemoteTransport(Transport):
     async def _try_rejoin(self, slot: WorkerSlot) -> bool:
         """Wait for a partitioned worker to reconnect in grace.
 
-        The base transport has no reconnect story (a dead pipe means a
-        dead child); the socket transport overrides this to re-arm the
-        slot's rendezvous and wait out its configured grace window.
+        The base transport has no reconnect story; the socket
+        transport overrides this to re-arm the slot's rendezvous and
+        wait out its configured grace window.
         """
         return False
 

@@ -3,8 +3,8 @@
 The coordinator listens on a configured (or ephemeral ``127.0.0.1``)
 address; each worker process dials back, passes the shared-key HMAC
 challenge/response handshake, and then serves assignments over the
-stream. Unlike pipes, TCP gives no message boundaries — the parent
-side reassembles frames with the wire codec's
+stream. TCP gives no message boundaries — the coordinator side
+reassembles frames with the wire codec's
 :class:`~repro.service.transport.wire.FrameDecoder`, the exact layer
 the hypothesis property suite attacks with truncation and bit flips.
 A dropped connection (the ``socket_drop``/``net_partition`` chaos
@@ -16,11 +16,13 @@ restart budget.
 
 Two fleet shapes share this one transport:
 
-- **local spawn** (the default): worker lifecycle uses
-  ``multiprocessing.Process`` exactly as before; only the data plane
-  is the socket. The spawned child runs the same
+- **local spawn** (the default, and what ``jmake evaluate --jobs N``
+  runs on): each slot's worker is a ``multiprocessing.Process``
+  (``fork``, ``spawn`` or ``forkserver``) that dials the loopback
+  listener. The spawned child runs the same
   :class:`~repro.service.transport.client.WorkerClient` session state
-  machine an external worker does.
+  machine an external worker does, and exits once the coordinator is
+  gone.
 - **cross-host** (``spawn_workers=False`` + ``listen`` + a shared
   ``auth_key``): the coordinator spawns nothing and waits for
   ``jmake worker --connect HOST:PORT`` processes to claim its slots.
@@ -43,18 +45,15 @@ from repro.obs.events import (
 )
 from repro.obs.logcfg import get_logger
 from repro.service.transport import wire
+from repro.service.transport.client import socket_worker_main
 from repro.service.transport.remote import (
     GRACEFUL_JOIN_SECONDS,
     RemoteTransport,
     WorkerSlot,
 )
-from repro.service.transport.worker import socket_worker_main
+from repro.service.transport.worker import WorkerInit
 
 _logger = get_logger("service.transport")
-
-#: ceiling on one connection's CHALLENGE->HELLO exchange; a peer that
-#: connects and goes silent must not pin the acceptor forever
-HANDSHAKE_TIMEOUT_SECONDS = 10.0
 
 
 class SockParentChannel:
@@ -161,11 +160,6 @@ class SocketTransport(RemoteTransport):
             await self._server.wait_closed()
             self._server = None
 
-    def _worker_init(self, slot: WorkerSlot):
-        init = super()._worker_init(slot)
-        init.auth_key = self.auth_key
-        return init
-
     def _spawn(self, slot: WorkerSlot) -> None:
         # a fresh rendezvous future per process generation: a stale
         # connection from a killed predecessor can never satisfy it
@@ -178,11 +172,18 @@ class SocketTransport(RemoteTransport):
             slot.pid = None
             slot.channel = None
             return
+        service = self.service
+        init = WorkerInit(
+            worker_id=slot.index, start_method=self.start_method,
+            corpus=service.corpus, auth_key=self.auth_key,
+            options=service.options,
+            fault_plan=service.config.fault_plan,
+            retry_policy=service.config.retry_policy,
+            cache=service.cache)
         context = multiprocessing.get_context(self.start_method)
         process = context.Process(
             target=socket_worker_main,
-            args=(self._host or "127.0.0.1", self._port,
-                  self._worker_init(slot)),
+            args=(self._host or "127.0.0.1", self._port, init),
             name=f"jmake-socket-worker-{slot.index}",
             daemon=True)
         process.start()
@@ -264,8 +265,9 @@ class SocketTransport(RemoteTransport):
         """Challenge a dialing peer; hand verified channels to slots."""
         channel = SockParentChannel(reader, writer)
         try:
-            await asyncio.wait_for(self._handshake(channel),
-                                   timeout=HANDSHAKE_TIMEOUT_SECONDS)
+            await asyncio.wait_for(
+                self._handshake(channel),
+                timeout=wire.HANDSHAKE_TIMEOUT_SECONDS)
         except (asyncio.TimeoutError, OSError, ConnectionError):
             await channel.aclose()
         except asyncio.CancelledError:

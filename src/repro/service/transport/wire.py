@@ -1,7 +1,7 @@
 """The transport wire codec: frames and messages.
 
-Remote workers (:mod:`repro.service.transport.mp` pipes,
-:mod:`repro.service.transport.sock` sockets) exchange length-prefixed,
+Worker processes and the socket transport's coordinator
+(:mod:`repro.service.transport.sock`) exchange length-prefixed,
 CRC32-checked frames whose payload is the same canonical JSON the
 write-ahead journal speaks (sorted keys, tight separators, ``allow_nan
 =False``), so a verdict crossing the wire and a verdict landing in the
@@ -79,6 +79,11 @@ WIRE_VERSION = 3
 #: refuse frames that declare more than this much payload — a corrupt
 #: length field must not stall the stream waiting for gigabytes
 MAX_FRAME_BYTES = 16 * 1024 * 1024
+
+#: ceiling on one connection's CHALLENGE->HELLO->WELCOME exchange, on
+#: either side: a peer that connects and goes silent must not pin the
+#: coordinator's acceptor, nor a dialing worker, forever
+HANDSHAKE_TIMEOUT_SECONDS = 10.0
 
 #: magic | version | type | length | crc32
 _HEADER = struct.Struct(">4sBBII")
@@ -295,8 +300,7 @@ def hello_message(worker_id: int, pid: int, start_method: str, *,
     ``worker_id`` is the slot the worker was spawned for, or ``-1``
     for an external ``jmake worker --connect`` joining whatever slot
     is free. ``auth`` is the HMAC response to the coordinator's
-    CHALLENGE nonce (:func:`auth_token`); local pipe workers leave it
-    empty because pipes need no authentication.
+    CHALLENGE nonce (:func:`auth_token`).
     """
     return {"worker_id": worker_id, "pid": pid,
             "start_method": start_method, "tree_id": tree_id,

@@ -5,7 +5,7 @@ the fault storm is the same plan the fault-determinism suite uses, so
 the differential tests pin service mode against exactly the reference
 the sequential suite already trusts.
 
-Transport hygiene lives here too. Remote transports hold real child
+Transport hygiene lives here too. The socket transport holds real child
 processes, so every fixture that crosses into a worker must stay
 pickle-safe under the ``spawn`` start method (``spawn_safe_corpus``
 proves it once per session), and every test must drain the service it
@@ -57,8 +57,8 @@ def spawn_safe_corpus(small_corpus):
 def _no_leaked_transports():
     """Leak check: every test drains the service it started.
 
-    An undrained transport means live worker tasks — and for mp/socket
-    transports, orphaned child processes that would outlive the test
+    An undrained transport means live worker tasks — and for the socket
+    transport, orphaned child processes that would outlive the test
     run. Asserting *after* each test attributes the leak to the test
     that caused it.
     """

@@ -76,7 +76,7 @@ def run_chaos(corpus, commits, *, transport, plan,
 
 
 class TestWorkerKill:
-    @pytest.mark.parametrize("transport", ["mp", "socket"])
+    @pytest.mark.parametrize("transport", ["socket"])
     def test_kill_requeues_without_losing_verdicts(
             self, small_corpus, checkable_commits, clean_records,
             transport):
@@ -114,7 +114,7 @@ class TestWorkerKill:
         pickup-1 fires exactly once even though the slot restarts."""
         service, events, results = run_chaos(
             small_corpus, checkable_commits[:LIMIT],
-            transport="mp", jobs=1,
+            transport="socket", jobs=1,
             plan=first_pickup_plan(KIND_WORKER_KILL))
         assert [result.record for result in results] == clean_records
         assert service.stats()["supervisor"]["crashes_detected"] == 1
@@ -140,7 +140,7 @@ class TestSocketDrop:
 
 
 class TestWorkerHang:
-    @pytest.mark.parametrize("transport", ["mp", "socket"])
+    @pytest.mark.parametrize("transport", ["socket"])
     def test_hung_worker_is_reaped_and_requeued(
             self, small_corpus, checkable_commits, clean_records,
             transport):
@@ -173,7 +173,8 @@ class TestBreakerExhaustion:
                                       backoff_max_seconds=0.02)
         service, events, results = run_chaos(
             small_corpus, checkable_commits[:LIMIT],
-            transport="mp", jobs=2, plan=plan, supervisor=supervisor)
+            transport="socket", jobs=2, plan=plan,
+            supervisor=supervisor)
         assert [result.record for result in results] == clean_records
         stats = service.stats()["supervisor"]
         assert stats["breakers_opened"] == 2
@@ -195,7 +196,7 @@ class TestRateBasedStorm:
         for _ in range(2):
             service, _, results = run_chaos(
                 small_corpus, checkable_commits[:LIMIT],
-                transport="mp", jobs=2, plan=plan)
+                transport="socket", jobs=2, plan=plan)
             assert [result.record for result in results] == \
                 clean_records
             outcomes.append(
@@ -204,7 +205,7 @@ class TestRateBasedStorm:
 
 
 class TestJournalDedup:
-    @pytest.mark.parametrize("transport", ["mp", "socket"])
+    @pytest.mark.parametrize("transport", ["socket"])
     def test_kill_and_resume_keeps_dedup_keys_unique(
             self, tmp_path, small_corpus, transport):
         """Chaos kills + journal resume never duplicate or lose a
@@ -274,7 +275,7 @@ class TestJournalDedup:
 
     def test_jobs_run_is_supervised_and_deduplicated(self, tmp_path,
                                                      small_corpus):
-        """``run(jobs=2)`` checks on the mp transport's supervised
+        """``run(jobs=2)`` checks on the socket transport's supervised
         workers. The plan kills every slot's first pickup, so at least
         one worker dies whichever slot starts first; its commits are
         requeued, the records match the sequential run, and the WAL
@@ -289,7 +290,7 @@ class TestJournalDedup:
             limit=LIMIT, jobs=2, journal=journal)
         assert faulted.canonical_records() == \
             reference.canonical_records()
-        assert faulted.service_stats["transport"]["kind"] == "mp"
+        assert faulted.service_stats["transport"]["kind"] == "socket"
         supervisor = faulted.service_stats["supervisor"]
         assert supervisor["crashes_detected"] == \
             supervisor["restarts"] >= 1

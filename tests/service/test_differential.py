@@ -9,11 +9,11 @@ fault-determinism suites, and it is what makes the service safe to put
 in front of janitors: admission and process placement are pure
 scheduling.
 
-The transport matrix is the tentpole acceptance surface for the
-mp/socket backends: every cell (transport × cache × storm) must
-reproduce the sequential bytes exactly, including the
-``PARTIAL:<arch>`` verdicts the storm's quarantine trips produce —
-a verdict that crossed a pipe or a socket is the same verdict.
+The transport matrix is the acceptance surface for the socket
+backend: every cell (transport × cache × storm) must reproduce the
+sequential bytes exactly, including the ``PARTIAL:<arch>`` verdicts
+the storm's quarantine trips produce — a verdict that crossed a socket
+is the same verdict.
 """
 
 import pytest
@@ -24,7 +24,7 @@ from repro.service.service import ServiceConfig
 
 LIMIT = 30
 
-TRANSPORTS = ["asyncio", "mp", "socket"]
+TRANSPORTS = ["asyncio", "socket"]
 
 #: persistent arm config failure: survives every retry, so the
 #: per-patch circuit breaker benches the arch and the verdict

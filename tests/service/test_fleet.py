@@ -12,6 +12,7 @@ half-open links die by lease expiry, slow links survive on heartbeats
 import asyncio
 import multiprocessing
 import signal
+import socket
 import threading
 import time
 
@@ -146,6 +147,36 @@ class TestReconnectPolicy:
         with pytest.raises(ValueError):
             ReconnectPolicy(backoff_base_seconds=1.0,
                             backoff_max_seconds=0.5)
+
+
+class TestHandshakeBound:
+    def test_silent_listener_cannot_pin_a_dialing_worker(
+            self, small_corpus, monkeypatch):
+        """A listener that accepts and never sends CHALLENGE — a dead
+        coordinator's socket still held open by a forked sibling looks
+        like this — ends the client's wait after the handshake bound;
+        with one dial attempt that is a TransportError."""
+        monkeypatch.setattr(wire, "HANDSHAKE_TIMEOUT_SECONDS", 0.2)
+        accepted = []
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+            acceptor = threading.Thread(
+                target=lambda: accepted.append(listener.accept()[0]),
+                daemon=True)
+            acceptor.start()
+            host, port = listener.getsockname()[:2]
+            client = WorkerClient(host, port, auth_key=AUTH_KEY,
+                                  corpus=small_corpus, hard_exit=False,
+                                  reconnect=ReconnectPolicy(
+                                      max_attempts=1))
+            started = time.monotonic()
+            with pytest.raises(TransportError):
+                client.run()
+            assert time.monotonic() - started >= 0.2
+            acceptor.join(timeout=5)
+        for connection in accepted:
+            connection.close()
+        assert len(accepted) == 1
+        assert client.assignments == 0
 
 
 # -- cross-host serving ------------------------------------------------------

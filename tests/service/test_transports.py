@@ -7,9 +7,16 @@ methods — on small direct ``CheckService`` runs.
 """
 
 import asyncio
+import os
+import select
+import signal
+import subprocess
+import sys
+import time
 
 import pytest
 
+import repro
 from repro.core.report import PatchReport
 from repro.obs.events import EVENT_WORKER_REQUEUE, EventLog
 from repro.service.request import CheckRequest
@@ -47,13 +54,15 @@ def run_transport(corpus, commits, config):
 
 class TestConfigSurface:
     def test_transport_vocabulary(self):
-        assert TRANSPORT_KINDS == ("asyncio", "mp", "socket")
+        assert TRANSPORT_KINDS == ("asyncio", "socket")
         assert START_METHODS == ("fork", "spawn", "forkserver")
         assert ServiceConfig().transport == "asyncio"
 
     def test_unknown_transport_rejected(self):
         with pytest.raises(ValueError):
             ServiceConfig(transport="carrier-pigeon")
+        with pytest.raises(ValueError):
+            ServiceConfig(transport="mp")
 
     def test_unknown_start_method_rejected(self):
         with pytest.raises(ValueError):
@@ -92,7 +101,7 @@ class TestSupervisorConfig:
         assert config.backoff_seconds(10) == pytest.approx(0.05)
 
 
-@pytest.mark.parametrize("transport", ["mp", "socket"])
+@pytest.mark.parametrize("transport", ["socket"])
 class TestRemoteTransports:
     def test_records_identical_to_asyncio(self, spawn_safe_corpus,
                                           checkable_commits,
@@ -112,8 +121,6 @@ class TestRemoteTransports:
         stats = service.stats()
         assert stats["transport"]["kind"] == transport
         assert stats["transport"]["jobs"] == 2
-        # both remote transports fill the supervisor block with the
-        # same keys, so dashboards need no per-transport special cases
         assert set(stats["supervisor"]) == SUPERVISOR_STAT_KEYS
         assert stats["supervisor"]["crashes_detected"] == 0
         assert stats["supervisor"]["breaker_open_shards"] == []
@@ -181,7 +188,8 @@ class TestDrainRace:
         slot loop waiting on the empty queue and drain would never
         finish."""
         transport = _GatedTransport(CheckService(
-            small_corpus, config=ServiceConfig(transport="mp", jobs=1)))
+            small_corpus, config=ServiceConfig(transport="socket",
+                                               jobs=1)))
 
         async def main() -> None:
             transport.hello = asyncio.get_running_loop().create_future()
@@ -259,7 +267,7 @@ class TestBatchDispatch:
     def _run(self, small_corpus, queued, script):
         events = EventLog()
         transport = _ScriptedTransport(CheckService(
-            small_corpus, config=ServiceConfig(transport="mp", jobs=2,
+            small_corpus, config=ServiceConfig(transport="socket", jobs=2,
                                                events=events),
             cache=False))
         transport.workers = []
@@ -348,21 +356,21 @@ class TestStartMethods:
         import-cleanliness check for the worker substrate."""
         _, results = run_transport(
             spawn_safe_corpus, checkable_commits[:LIMIT],
-            ServiceConfig(transport="mp", jobs=2,
+            ServiceConfig(transport="socket", jobs=2,
                           start_method="spawn"))
         assert [result.record for result in results] == \
             reference_records
 
 
 class TestSubmitPaths:
-    def test_submit_nowait_over_mp(self, spawn_safe_corpus,
-                                   checkable_commits):
-        """The admission-control path works over remote transports."""
+    def test_submit_nowait_over_socket(self, spawn_safe_corpus,
+                                       checkable_commits):
+        """The admission-control path works over worker processes."""
 
         async def main():
             service = CheckService(
                 spawn_safe_corpus,
-                config=ServiceConfig(transport="mp", jobs=1))
+                config=ServiceConfig(transport="socket", jobs=1))
             await service.start()
             try:
                 task = service.submit_nowait(CheckRequest(
@@ -375,3 +383,81 @@ class TestSubmitPaths:
         result = asyncio.run(main())
         assert result.commit_id == checkable_commits[0].id
         assert result.record["verdict"]
+
+
+#: a coordinator that serves until killed: it prints its two workers'
+#: pids once both have registered, then idles
+_COORDINATOR = """
+import asyncio
+import sys
+
+from repro.service.service import CheckService, ServiceConfig
+from repro.workload.corpus import CorpusSpec, build_corpus
+
+
+async def main():
+    corpus = build_corpus(CorpusSpec(seed="orphans", history_commits=20,
+                                     eval_commits=10,
+                                     regular_developers=4))
+    service = CheckService(corpus, cache=False, config=ServiceConfig(
+        transport="socket", jobs=2, start_method=sys.argv[1]))
+    await service.start()
+    slots = service.transport.slots
+    while any(slot.channel is None for slot in slots):
+        await asyncio.sleep(0.01)
+    print(*[slot.pid for slot in slots], flush=True)
+    await asyncio.sleep(3600)
+
+
+asyncio.run(main())
+"""
+
+
+def _running(pid: int) -> bool:
+    """True while ``pid`` is a process that has not exited (a zombie
+    nobody reaps counts as exited)."""
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            state = stat.read().rpartition(")")[2].split()[0]
+    except (FileNotFoundError, ProcessLookupError):
+        return False
+    return state not in ("Z", "X")
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"),
+                    reason="reads process states from /proc")
+class TestOrphanedWorkers:
+    @pytest.mark.parametrize("start_method", ["fork", "spawn"])
+    def test_killed_coordinator_leaves_no_worker(self, start_method):
+        """A coordinator killed with SIGKILL drains nothing, so its
+        spawned workers must notice on their own: each one sees EOF,
+        finds its ``multiprocessing`` parent gone and exits instead of
+        redialing — under fork too, where the workers still hold the
+        dead coordinator's listening socket open."""
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        coordinator = subprocess.Popen(
+            [sys.executable, "-c", _COORDINATOR, start_method],
+            stdout=subprocess.PIPE, text=True, env=env)
+        pids = []
+        try:
+            ready, _, _ = select.select([coordinator.stdout], [], [], 120)
+            assert ready, "no worker registered within 120 s"
+            pids = [int(pid) for pid in coordinator.stdout.readline()
+                    .split()]
+            assert len(pids) == 2, "coordinator exited before serving"
+            coordinator.send_signal(signal.SIGKILL)
+            coordinator.wait()
+            deadline = time.monotonic() + 2.0
+            while any(map(_running, pids)) and \
+                    time.monotonic() < deadline:
+                time.sleep(0.02)
+            assert [pid for pid in pids if _running(pid)] == []
+        finally:
+            coordinator.kill()
+            coordinator.wait()
+            coordinator.stdout.close()
+            for pid in pids:
+                if _running(pid):
+                    os.kill(pid, signal.SIGKILL)
