@@ -11,8 +11,8 @@ that loop end to end against the synthetic corpus:
    write-ahead log, so a crash between batches loses nothing);
 2. ``query_verdicts`` answers typed filters straight from the store —
    no preprocessing, no compilation, no corpus needed;
-3. ``janitor_report`` reads the §IV Table-II ranking from the
-   materialized view the ingest loop keeps fresh.
+3. ``janitor_report`` derives the §IV Table-II ranking from the
+   stored verdicts when it is asked.
 
 Run:  python examples/fleet_watch.py [--commits 40] [--seed fleet]
 """
@@ -64,8 +64,8 @@ def main() -> None:
                   f"author={verdict.author_email or '-'} "
                   f"files={len(paths)}")
 
-        # 3. The janitor ranking (ascending file_cv: most focused
-        #    contributors first), straight from the materialized view.
+        # 3. The janitor ranking (ascending file_cv: most janitor-like
+        #    contributors first), derived from the stored verdicts.
         rows = janitor_report(store_path, JanitorViewCriteria(
             min_patches=1, min_files=1, top_n=5))
         print(f"\njanitor view ({len(rows)} ranked):")

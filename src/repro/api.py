@@ -90,9 +90,7 @@ from repro.service.watch import (
     WindowSource,
 )
 from repro.service.watch import watch as _watch
-from repro.store.ingest import ingest_ledger
-from repro.store.matview import JanitorViewCriteria
-from repro.store.query import StoredVerdict, VerdictFilter
+from repro.store.query import JanitorViewCriteria, StoredVerdict, VerdictFilter
 from repro.store.store import VerdictStore
 from repro.util.atomicio import atomic_write_json, atomic_write_text
 from repro.util.rng import DeterministicRng
@@ -106,7 +104,7 @@ if TYPE_CHECKING:
     from repro.core.report import PatchReport
     from repro.evalsuite.runner import EvaluationResult
     from repro.service.watch import WatchResult
-    from repro.store.matview import JanitorViewRow
+    from repro.store.query import JanitorViewRow
     from repro.vcs.repository import Worktree
 
 __all__ = [
@@ -116,7 +114,7 @@ __all__ = [
     # the fleet-mode read surface (store + watch)
     "open_store", "query_verdicts", "janitor_report", "watch",
     "VerdictStore", "VerdictFilter", "StoredVerdict",
-    "JanitorViewCriteria", "StoreError", "ingest_ledger",
+    "JanitorViewCriteria", "StoreError",
     "WatchSession", "WatchConfig", "WindowSource",
     "SyntheticTrafficSource",
     # sessions / service
@@ -256,7 +254,8 @@ def query_verdicts(store: "VerdictStore | str",
 def janitor_report(store: "VerdictStore | str",
                    criteria: "JanitorViewCriteria | None" = None
                    ) -> list[JanitorViewRow]:
-    """The §IV Table-II janitor ranking from the materialized view."""
+    """The §IV Table-II janitor ranking, derived from the stored
+    verdicts when it is read."""
     if isinstance(store, VerdictStore):
         return store.janitor_report(criteria)
     with VerdictStore(store) as opened:
@@ -271,8 +270,8 @@ def watch(corpus: Corpus, *, store, journal: str, source=None,
     """Run the continuous-ingest daemon until its stream drains.
 
     Checks only commits neither the journal nor the store has seen,
-    journals every verdict before the store ingests it, and refreshes
-    the janitor materialized view per batch. Kill it mid-stream
+    and journals every verdict before the store ingests it, one
+    transaction per batch. Kill it mid-stream
     (``WatchConfig.chaos_kill_after``) and re-run with ``resume=True``:
     the store converges on bytes identical to an uninterrupted run.
     """

@@ -583,80 +583,75 @@ def _query(args: argparse.Namespace) -> int:
     import os
     if args.store != ":memory:" and not os.path.exists(args.store):
         print(f"jmake query: {args.store}: no such store "
-              f"(run `jmake watch` or `ingest_ledger` first)",
+              f"(run `jmake watch` first)",
               file=sys.stderr)
         return 2
-    tristate = {"yes": True, "no": False, None: None}
     try:
-        store = api.open_store(args.store)
+        with api.open_store(args.store) as store:
+            return _answer_query(args, store)
     except api.StoreError as error:
         print(f"jmake query: {error}", file=sys.stderr)
         return 2
-    with store:
-        if args.compact:
-            if args.retain is None:
-                print("jmake query: --compact needs --retain N "
-                      "(newest verdicts to keep)", file=sys.stderr)
-                return 2
-            try:
-                pruned = store.compact(args.retain)
-            except api.StoreError as error:
-                print(f"jmake query: {error}", file=sys.stderr)
-                return 2
-            print(f"{args.store}: compacted to {pruned['kept']} "
-                  f"verdict(s) ({pruned['pruned']} pruned, "
-                  f"{pruned['file_rows_pruned']} file row(s) dropped, "
-                  f"janitor view rebuilt)")
-            return 0
-        if args.canonical:
-            # the byte-deterministic proof format CI diffs — nothing
-            # else may touch stdout in this mode
-            sys.stdout.write(store.canonical_dump())
-            return 0
-        if args.janitors:
-            rows = store.janitor_report(api.JanitorViewCriteria(
-                min_patches=args.min_patches, min_files=args.min_files,
-                top_n=args.top))
-            print(f"{args.store}: {len(rows)} janitor(s) "
-                  f"(ascending file_cv)")
-            for row in rows:
-                print(f"  {row.email} ({row.name}) "
-                      f"patches={row.patches} certified={row.certified} "
-                      f"partial={row.partial} attention={row.attention} "
-                      f"files={row.files} file_cv={row.file_cv:.3f}")
-            return 0
-        predicates = {
-            "commit": args.commit, "path": args.path,
-            "arch": args.arch, "config": args.config,
-            "status": args.status, "verdict": args.verdict,
-            "author": args.author, "limit": args.limit,
-            "certified": tristate[args.certified],
-            "fully_checked": tristate[args.fully_checked],
-        }
-        predicates = {name: value for name, value in predicates.items()
-                      if value is not None}
-        try:
-            results = api.query_verdicts(store, **predicates)
-        except api.StoreError as error:
-            print(f"jmake query: {error}", file=sys.stderr)
+
+
+def _answer_query(args: argparse.Namespace, store) -> int:
+    """Run one ``jmake query`` mode against an open store."""
+    if args.compact:
+        if args.retain is None:
+            print("jmake query: --compact needs --retain N "
+                  "(newest verdicts to keep)", file=sys.stderr)
             return 2
-        if args.json:
-            print(json.dumps([verdict.record for verdict in results],
-                             indent=2, sort_keys=True))
-            return 0
-        print(f"{args.store}: {len(results)} verdict(s) "
-              f"({len(store)} stored)")
-        for verdict in results:
-            print(f"  {verdict.commit} {verdict.verdict} "
-                  f"author={verdict.author_email or '-'} "
-                  f"files={len(set(row.path for row in verdict.files))} "
-                  f"elapsed={verdict.elapsed_seconds:.1f}s")
-            if args.files:
-                for row in verdict.files:
-                    print(f"    {row.path} arch={row.arch or '-'} "
-                          f"config={row.config or '-'} "
-                          f"status={row.status} "
-                          f"i_ok={int(row.i_ok)} o_ok={int(row.o_ok)}")
+        pruned = store.compact(args.retain)
+        print(f"{args.store}: compacted to {pruned['kept']} "
+              f"verdict(s) ({pruned['pruned']} pruned, "
+              f"{pruned['file_rows_pruned']} file row(s) dropped)")
+        return 0
+    if args.canonical:
+        # the byte-deterministic proof format CI diffs — nothing
+        # else may touch stdout in this mode
+        sys.stdout.write(store.canonical_dump())
+        return 0
+    if args.janitors:
+        rows = store.janitor_report(api.JanitorViewCriteria(
+            min_patches=args.min_patches, min_files=args.min_files,
+            top_n=args.top))
+        print(f"{args.store}: {len(rows)} janitor(s) "
+              f"(ascending file_cv)")
+        for row in rows:
+            print(f"  {row.email} ({row.name}) "
+                  f"patches={row.patches} certified={row.certified} "
+                  f"partial={row.partial} attention={row.attention} "
+                  f"files={row.files} file_cv={row.file_cv:.3f}")
+        return 0
+    tristate = {"yes": True, "no": False, None: None}
+    predicates = {
+        "commit": args.commit, "path": args.path,
+        "arch": args.arch, "config": args.config,
+        "status": args.status, "verdict": args.verdict,
+        "author": args.author, "limit": args.limit,
+        "certified": tristate[args.certified],
+        "fully_checked": tristate[args.fully_checked],
+    }
+    predicates = {name: value for name, value in predicates.items()
+                  if value is not None}
+    results = api.query_verdicts(store, **predicates)
+    if args.json:
+        print(json.dumps([verdict.record for verdict in results],
+                         indent=2, sort_keys=True))
+        return 0
+    print(f"{args.store}: {len(results)} verdict(s) "
+          f"({len(store)} stored)")
+    for verdict in results:
+        print(f"  {verdict.commit} {verdict.verdict} "
+              f"author={verdict.author_email or '-'} "
+              f"files={len(set(row.path for row in verdict.files))} "
+              f"elapsed={verdict.elapsed_seconds:.1f}s")
+        if args.files:
+            for row in verdict.files:
+                print(f"    {row.path} arch={row.arch or '-'} "
+                      f"config={row.config or '-'} "
+                      f"status={row.status} "
+                      f"i_ok={int(row.i_ok)} o_ok={int(row.o_ok)}")
     return 0
 
 
@@ -1083,7 +1078,7 @@ def main(argv: list[str] | None = None) -> int:
                                 "questions without compiling anything")
     query.add_argument("store", help="path to a verdict store "
                                      "(--store/--out-dir from a watch "
-                                     "or ingest run)")
+                                     "run)")
     query.add_argument("--commit", default=None,
                        help="exact commit id")
     query.add_argument("--path", default=None,
@@ -1112,8 +1107,9 @@ def main(argv: list[str] | None = None) -> int:
     query.add_argument("--json", action="store_true",
                        help="print the full canonical records as JSON")
     query.add_argument("--janitors", action="store_true",
-                       help="print the §IV janitor ranking from the "
-                            "materialized view instead of verdicts")
+                       help="print the §IV janitor ranking (derived "
+                            "from the stored verdicts) instead of "
+                            "verdicts")
     query.add_argument("--min-patches", type=int, default=3,
                        help="janitor view: minimum patches threshold")
     query.add_argument("--min-files", type=int, default=2,
@@ -1126,9 +1122,8 @@ def main(argv: list[str] | None = None) -> int:
                             "diffs)")
     query.add_argument("--compact", action="store_true",
                        help="retention: prune the store down to the "
-                            "newest --retain verdicts, rebuild the "
-                            "janitor view over the survivors in the "
-                            "same transaction, and vacuum")
+                            "newest --retain verdicts in one "
+                            "transaction, and vacuum")
     query.add_argument("--retain", type=int, default=None, metavar="N",
                        help="newest verdicts --compact keeps")
     query.set_defaults(func=_query)

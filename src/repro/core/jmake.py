@@ -168,8 +168,8 @@ class CheckSession:
             report = self.check_patch(worktree, patch,
                                       commit_id=commit.id)
             # Commit-resolving checks know who wrote the patch; stamp
-            # the identity so fleet-mode ingest can feed the §IV
-            # janitor materialized view without a second VCS pass.
+            # the identity so the verdict store can rank §IV
+            # janitors without a second VCS pass.
             report.author_name = commit.author.name
             report.author_email = commit.author.email
             span.set("certified", report.certified)

@@ -32,7 +32,7 @@ from repro.errors import SchemaError
 #:     (the per-(arch, config) trial outcomes that become
 #:     ``file_verdicts`` rows in the verdict store) and the record
 #:     gains a top-level ``author`` block (``{"name", "email"}`` or
-#:     ``None``) feeding the §IV janitor materialized view.
+#:     ``None``) feeding the §IV janitor ranking.
 SCHEMA_VERSION = 4
 
 #: a record missing any of these was cut off mid-write (or never was a
@@ -236,7 +236,7 @@ class PatchReport:
     #: structured records of the faults injected while checking the patch
     fault_reports: list = field(default_factory=list)
     #: patch author identity (stamped by commit-resolving callers);
-    #: feeds the §IV janitor materialized view in the verdict store
+    #: feeds the §IV janitor ranking of the verdict store
     author_name: str | None = None
     author_email: str | None = None
 
@@ -258,22 +258,6 @@ class PatchReport:
         if self.quarantined_archs:
             return "PARTIAL:" + ",".join(self.quarantined_archs)
         return "CERTIFIED" if self.certified else "ATTENTION REQUIRED"
-
-    @property
-    def c_reports(self) -> dict[str, FileReport]:
-        """The .c subset of file reports."""
-        return {path: report for path, report in self.file_reports.items()
-                if path.endswith(".c")}
-
-    @property
-    def h_reports(self) -> dict[str, FileReport]:
-        """The .h subset of file reports."""
-        return {path: report for path, report in self.file_reports.items()
-                if path.endswith(".h")}
-
-    def configs_tried(self) -> int:
-        """Number of configuration creations this patch needed."""
-        return self.invocation_counts.get("config", 0)
 
     def to_dict(self) -> dict:
         """A JSON-serializable view for tooling (CI bots, dashboards)."""

@@ -122,20 +122,6 @@ class TransportError(ServiceError):
     sockets, framing above the journal layer)."""
 
 
-class WorkerLostError(TransportError):
-    """Raised when a remote worker dies or its connection drops
-    while work is in flight. Carries the worker index and how many
-    assignments were requeued so supervision tests can assert on the
-    recovery path.
-    """
-
-    def __init__(self, message: str, *, worker_id: int = -1,
-                 requeued: int = 0) -> None:
-        super().__init__(message)
-        self.worker_id = worker_id
-        self.requeued = requeued
-
-
 class AuthError(TransportError):
     """Raised when the shared-key HMAC challenge/response handshake
     fails: the coordinator rejects the HELLO with a typed error frame

@@ -55,7 +55,6 @@ EVENT_WORKER_EXIT = "transport.worker_exit"
 EVENT_WORKER_REQUEUE = "transport.requeue"
 EVENT_INGEST_BATCH = "ingest.batch"
 EVENT_INGEST_SCHEMA_ERROR = "ingest.schema_error"
-EVENT_INGEST_MATVIEW = "ingest.matview_refreshed"
 EVENT_WATCH_STARTED = "watch.started"
 EVENT_WATCH_BATCH = "watch.batch"
 EVENT_WATCH_STOPPED = "watch.stopped"
@@ -87,7 +86,6 @@ EVENT_KINDS = {
     EVENT_WORKER_REQUEUE: "in-flight work was requeued off a dead worker",
     EVENT_INGEST_BATCH: "a journal batch was ingested into the store",
     EVENT_INGEST_SCHEMA_ERROR: "a record failed migration during ingest",
-    EVENT_INGEST_MATVIEW: "the janitor materialized view was refreshed",
     EVENT_WATCH_STARTED: "the watch daemon opened its stream",
     EVENT_WATCH_BATCH: "the watch daemon finished one check batch",
     EVENT_WATCH_STOPPED: "the watch daemon drained and stopped",

@@ -46,7 +46,6 @@ from repro.obs.events import (
 )
 from repro.obs.logcfg import get_logger
 from repro.service.service import CheckService, ServiceConfig
-from repro.store.matview import JanitorViewCriteria
 from repro.store.store import VerdictStore
 from repro.util.rng import DeterministicRng
 from repro.workload.corpus import Corpus
@@ -191,7 +190,7 @@ class WatchResult:
     duplicates: int = 0
     store_stats: dict = field(default_factory=dict)
     journal_stats: dict = field(default_factory=dict)
-    #: top of the §IV materialized view after the run
+    #: top of the §IV janitor ranking after the run (default criteria)
     janitors: list = field(default_factory=list)
     #: empty polls survived in follow mode
     idle_polls: int = 0
@@ -354,8 +353,7 @@ class WatchSession:
             result.duplicates = totals.duplicates
             result.store_stats = self.store.stats()
             result.journal_stats = ledger.stats()
-            result.janitors = self.store.janitor_report(
-                JanitorViewCriteria())
+            result.janitors = self.store.janitor_report()
             self.events.emit(EVENT_WATCH_STOPPED,
                              batches=result.batches,
                              fresh=result.fresh,

@@ -13,11 +13,16 @@ as a unit.
 
 Queries are pure reads: answering one never triggers preprocessing or
 compilation, which is the entire point of keeping the store around.
+
+The §IV janitor ranking (:func:`janitor_rows`) is a query too: it is
+derived from ``verdicts`` and ``file_verdicts`` on every read, so no
+second copy of those facts has to be kept in step with them.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, fields
 
 from repro.errors import StoreError
@@ -180,3 +185,94 @@ def stored_verdict_from_row(row, file_rows) -> StoredVerdict:
                            i_ok=bool(i_ok), o_ok=bool(o_ok))
             for path, arch, config, status, i_ok, o_ok in file_rows),
     )
+
+
+@dataclass(frozen=True)
+class JanitorViewCriteria:
+    """Cutoffs for :func:`janitor_rows` (Table I, store-local)."""
+    #: minimum stored patches before an author is rankable
+    min_patches: int = 3
+    #: minimum distinct files touched
+    min_files: int = 2
+    #: rows returned (ascending file_cv — most janitor-like first)
+    top_n: int = 10
+
+    def validate(self) -> None:
+        """Raise :class:`~repro.errors.StoreError` on malformed cutoffs."""
+        for name, least, kind in (("min_patches", 0, "non-negative"),
+                                  ("min_files", 0, "non-negative"),
+                                  ("top_n", 1, "positive")):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int) \
+                    or value < least:
+                raise StoreError(
+                    f"janitor criteria {name} must be a {kind} "
+                    f"integer, got {value!r}")
+
+
+@dataclass(frozen=True)
+class JanitorViewRow:
+    """One ranked author of the §IV janitor ranking."""
+    email: str
+    name: str | None
+    patches: int
+    certified: int
+    partial: int
+    attention: int
+    files: int
+    file_cv: float
+
+
+def _file_cv(counts: "list[int]") -> float:
+    """Population std / mean — the §IV uniformity metric."""
+    if not counts:
+        return 0.0
+    mean = sum(counts) / len(counts)
+    if mean == 0:
+        return 0.0
+    variance = sum((count - mean) ** 2 for count in counts) / len(counts)
+    return math.sqrt(variance) / mean
+
+
+def janitor_rows(conn, criteria: JanitorViewCriteria | None = None
+                 ) -> "list[JanitorViewRow]":
+    """The Table-II ranking: ascending file_cv, email tie-break.
+
+    Janitors touch many files about once each (low coefficient of
+    variation of per-file patch counts, exactly the
+    :attr:`DeveloperActivity.file_cv` formula); maintainers hammer a
+    few files (high cv). Every author with a non-empty email is
+    ranked, including one whose commits touched no file (``files``
+    0). The per-file counts reach ``_file_cv`` in path order, so the
+    float does not depend on ingest order.
+    """
+    criteria = criteria or JanitorViewCriteria()
+    criteria.validate()
+    counts: dict[str, list[int]] = {}
+    for email, patches in conn.execute(
+            "SELECT v.author_email, COUNT(DISTINCT f.commit_id) "
+            "FROM verdicts v JOIN file_verdicts f "
+            "ON f.commit_id = v.commit_id "
+            "WHERE v.author_email <> '' "
+            "GROUP BY v.author_email, f.path "
+            "ORDER BY v.author_email, f.path"):
+        counts.setdefault(email, []).append(patches)
+    rows = []
+    for (email, name, patches, certified, partial,
+         attention) in conn.execute(
+            "SELECT author_email, MAX(author_name), COUNT(*), "
+            "SUM(verdict = 'CERTIFIED'), "
+            "SUM(verdict LIKE 'PARTIAL:%'), "
+            "SUM(verdict = 'ATTENTION REQUIRED') "
+            "FROM verdicts WHERE author_email <> '' "
+            "GROUP BY author_email"):
+        files = counts.get(email, [])
+        if patches >= criteria.min_patches and \
+                len(files) >= criteria.min_files:
+            rows.append(JanitorViewRow(
+                email=email, name=name, patches=patches,
+                certified=certified, partial=partial,
+                attention=attention, files=len(files),
+                file_cv=_file_cv(files)))
+    rows.sort(key=lambda row: (row.file_cv, row.email))
+    return rows[:criteria.top_n]

@@ -2,7 +2,7 @@
 
 One store = one SQLite database holding every verdict a fleet has ever
 computed, fed transactionally from the write-ahead journal (see
-:mod:`repro.store.ingest`). Three families of tables:
+:mod:`repro.store.store`). Two families of tables:
 
 - ``meta`` — key/value: the store schema version and the bound run
   identity (the same ``meta`` record the journal carries, so a store
@@ -10,9 +10,10 @@ computed, fed transactionally from the write-ahead journal (see
 - ``verdicts`` / ``file_verdicts`` — the fact tables: one row per
   commit, one row per (commit, file, arch, config) trial, plus the
   full canonical ``schema_version=4`` record as sorted-key JSON so
-  nothing ``to_dict`` carries is ever lost to the relational shredding;
-- ``author_files`` / ``janitor_view`` — the §IV janitor-identification
-  materialized view (:mod:`repro.store.matview`).
+  nothing ``to_dict`` carries is ever lost to the relational shredding.
+
+The §IV janitor ranking is derived from the fact tables when it is read
+(:func:`repro.store.query.janitor_rows`), so no table holds it.
 
 Row derivation is deliberately total: a record whose file entry carries
 ``attempts`` yields one row per distinct (arch, config) with the trial
@@ -29,8 +30,11 @@ import json
 from repro.errors import StoreError
 
 #: version of the relational layout (bump on any DDL change; the store
-#: refuses to open a database written by a different layout)
-STORE_SCHEMA_VERSION = 1
+#: refuses to open a database written by a different layout). 2 drops
+#: layout 1's ``author_files`` / ``janitor_view`` ranking tables; a
+#: refused store is rebuilt from its journal (``jmake watch --resume``
+#: with a fresh ``--store``).
+STORE_SCHEMA_VERSION = 2
 
 DDL = (
     """CREATE TABLE IF NOT EXISTS meta (
@@ -55,20 +59,6 @@ DDL = (
         i_ok INTEGER NOT NULL,
         o_ok INTEGER NOT NULL,
         PRIMARY KEY (commit_id, path, arch, config))""",
-    """CREATE TABLE IF NOT EXISTS author_files (
-        email TEXT NOT NULL,
-        path TEXT NOT NULL,
-        patches INTEGER NOT NULL,
-        PRIMARY KEY (email, path))""",
-    """CREATE TABLE IF NOT EXISTS janitor_view (
-        email TEXT PRIMARY KEY,
-        name TEXT,
-        patches INTEGER NOT NULL,
-        certified INTEGER NOT NULL,
-        partial INTEGER NOT NULL,
-        attention INTEGER NOT NULL,
-        files INTEGER NOT NULL,
-        file_cv REAL NOT NULL)""",
     """CREATE INDEX IF NOT EXISTS idx_file_verdicts_path
         ON file_verdicts (path)""",
     """CREATE INDEX IF NOT EXISTS idx_file_verdicts_arch

@@ -1,48 +1,49 @@
 """The persistent, queryable verdict store (fleet mode's memory).
 
 A :class:`VerdictStore` is an SQLite database of every verdict a fleet
-has computed, fed transactionally from the write-ahead journal (the
-journal *is* the store's WAL: verdicts become durable in the journal
-first, and ingest replays them into relational form — see
-:mod:`repro.store.ingest` for the transaction boundary). Records are
-migrated to the current ``schema_version`` on the way in, shredded
-into per-(commit, file, arch, config) rows, and kept whole as
-sorted-key canonical JSON, so a store answers both "was this commit
-checked" and "show me every mips verdict for this file" without any
-preprocess or compile work.
+has computed. Records are migrated to the current ``schema_version`` on
+the way in, shredded into per-(commit, file, arch, config) rows, and
+kept whole as sorted-key canonical JSON, so a store answers both "was
+this commit checked" and "show me every mips verdict for this file"
+without any preprocess or compile work.
 
-Durability split: the journal owns crash-safety (fsync discipline,
-torn-tail recovery), the store owns queryability. A crash between
-journal append and store ingest loses nothing — the next ingest pass
-replays the journal and the primary-key dedup makes re-ingest a no-op
-— which is what makes kill-and-resume of ``jmake watch`` byte-identical
-to an uninterrupted run (:meth:`VerdictStore.canonical_dump` is the
-proof format CI diffs).
+The journal is the store's write-ahead log: a verdict is *durable* once
+the :class:`~repro.journal.ledger.VerdictLedger` holds it, and
+*queryable* once :meth:`VerdictStore.ingest_ledger` replays it here, one
+SQLite transaction per batch. The store can be deleted and rebuilt from
+the journal at any time, and a crash between the two loses nothing —
+re-ingest is idempotent because the store dedups on the same commit key
+the ledger does, which is what makes kill-and-resume of ``jmake watch``
+byte-identical to an uninterrupted run (:meth:`VerdictStore.canonical_dump`
+is the proof format CI diffs). Both sides bind the same run identity,
+so a store never swallows a journal from a different corpus or option
+set.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import sqlite3
+from dataclasses import dataclass
 
 from repro.core.report import migrate_record
 from repro.errors import SchemaError, StoreError
 from repro.obs.events import (
     EVENT_INGEST_BATCH,
-    EVENT_INGEST_MATVIEW,
     EVENT_INGEST_SCHEMA_ERROR,
     EVENT_STORE_COMPACTED,
     NULL_EVENTS,
 )
 from repro.obs.logcfg import get_logger
 from repro.obs.metrics import NULL_METRICS
-from repro.store import matview
-from repro.store.ingest import IngestResult, ingest_ledger
-from repro.store.matview import JanitorViewCriteria, JanitorViewRow
 from repro.store.query import (
+    JanitorViewCriteria,
+    JanitorViewRow,
     StoredVerdict,
     VerdictFilter,
     filter_from_kwargs,
+    janitor_rows,
     stored_verdict_from_row,
 )
 from repro.store.schema import (
@@ -52,6 +53,29 @@ from repro.store.schema import (
 )
 
 _logger = get_logger("store")
+
+
+@dataclass(frozen=True)
+class IngestResult:
+    """Outcome of one ingest pass (batch or full ledger replay)."""
+    #: records that landed as new rows
+    ingested: int
+    #: records offered to the transaction whose commit was already
+    #: stored (a true double-offer inside one batch)
+    duplicates: int
+    #: commit ids of the landed records, in ingest order
+    commits: tuple = ()
+    #: ledger records skipped up front because the store already held
+    #: them — the expected case on every replay after the first
+    skipped_stored: int = 0
+
+    def merged(self, other: "IngestResult") -> "IngestResult":
+        """Fold two passes' tallies together."""
+        return IngestResult(
+            ingested=self.ingested + other.ingested,
+            duplicates=self.duplicates + other.duplicates,
+            commits=self.commits + other.commits,
+            skipped_stored=self.skipped_stored + other.skipped_stored)
 
 
 class VerdictStore:
@@ -152,11 +176,9 @@ class VerdictStore:
         first (:class:`~repro.errors.SchemaError` rolls the whole batch
         back — a poisoned journal never half-lands). Duplicate commits
         are skipped via the primary key, which is what makes re-ingest
-        after a crash idempotent. The §IV materialized view is folded
-        in *inside the same transaction*, so readers can never see
-        facts the view does not yet summarize.
+        after a crash idempotent.
         """
-        landed: list[dict] = []
+        landed: list[str] = []
         duplicates = 0
         conn = self._conn
         conn.execute("BEGIN IMMEDIATE")
@@ -202,8 +224,7 @@ class VerdictStore:
                         "VALUES (?, ?, ?, ?, ?, ?, ?)",
                         (commit_id, path, arch, config, status,
                          i_ok, o_ok))
-                landed.append(migrated)
-            authors = matview.apply_batch(conn, landed)
+                landed.append(commit_id)
             conn.execute("COMMIT")
         except BaseException:
             conn.execute("ROLLBACK")
@@ -217,20 +238,32 @@ class VerdictStore:
         self._set_size_gauges()
         self.events.emit(EVENT_INGEST_BATCH, records=len(landed),
                          duplicates=duplicates, batch=self.batches)
-        if authors:
-            self.events.emit(EVENT_INGEST_MATVIEW, authors=authors)
         if landed or duplicates:
             _logger.debug("store %s: batch #%d landed %d record(s), "
                           "%d duplicate(s)", self.path, self.batches,
                           len(landed), duplicates)
         return IngestResult(ingested=len(landed), duplicates=duplicates,
-                            authors_refreshed=authors,
-                            commits=tuple(record["commit"]
-                                          for record in landed))
+                            commits=tuple(landed))
 
     def ingest_ledger(self, ledger) -> IngestResult:
-        """Replay a verdict ledger (the WAL) into the store."""
-        return ingest_ledger(self, ledger)
+        """Replay every ledger record (the WAL) into the store.
+
+        Binds the ledger's run identity onto the store first (refusing a
+        mismatch), then lands all records the store does not yet have,
+        in one transaction. Duplicate keys are the *expected* case on
+        resume — the journal holds everything ever checked, the store
+        holds everything ever ingested, and the difference is exactly
+        the crash window.
+        """
+        if ledger.meta is not None:
+            self.bind_meta(ledger.meta)
+        keys = ledger.keys()
+        stored = self.commit_ids()
+        pending = [key for key in keys if key not in stored]
+        result = self.ingest_batch([ledger.get(key) for key in pending])
+        self.set_lag(0)
+        return dataclasses.replace(
+            result, skipped_stored=len(keys) - len(pending))
 
     # -- retention -------------------------------------------------------------
 
@@ -239,16 +272,14 @@ class VerdictStore:
 
         "Newest" is ingest order (the monotone ``seq`` column), so a
         long-running fleet keeps a sliding window of recent verdicts
-        and sheds the tail. One transaction covers the verdict rows,
-        their per-file rows, and a *from-scratch rebuild* of the §IV
-        janitor materialized view over the survivors — a reader can
-        never observe a view that still summarizes pruned commits.
-        ``VACUUM`` (which cannot run inside a transaction) then
-        returns the freed pages to the filesystem.
+        and sheds the tail. One transaction covers the verdict rows
+        and their per-file rows, so the §IV ranking (derived on read)
+        never counts a pruned commit. ``VACUUM`` (which cannot run
+        inside a transaction) then returns the freed pages to the
+        filesystem.
 
         Returns ``{"kept", "pruned", "file_rows_pruned"}``.
         """
-        import json
         if isinstance(retain, bool) or not isinstance(retain, int):
             raise StoreError(
                 f"retain must be a non-negative integer, "
@@ -271,13 +302,6 @@ class VerdictStore:
                 conn.execute(
                     "DELETE FROM verdicts WHERE commit_id = ?",
                     (commit_id,))
-            # rebuild the matview over the survivors only, inside the
-            # same transaction as the deletes
-            conn.execute("DELETE FROM author_files")
-            conn.execute("DELETE FROM janitor_view")
-            survivors = [json.loads(row[0]) for row in conn.execute(
-                "SELECT record FROM verdicts ORDER BY seq")]
-            matview.apply_batch(conn, survivors)
             conn.execute("COMMIT")
         except BaseException:
             conn.execute("ROLLBACK")
@@ -324,10 +348,10 @@ class VerdictStore:
 
     def janitor_report(self, criteria: JanitorViewCriteria | None = None
                        ) -> list[JanitorViewRow]:
-        """The §IV Table-II ranking from the materialized view."""
+        """The §IV Table-II ranking, derived from the stored verdicts."""
         self.queries += 1
         self.metrics.counter("store.queries").inc()
-        return matview.janitor_rows(self._conn, criteria)
+        return janitor_rows(self._conn, criteria)
 
     # -- canonical dump --------------------------------------------------------
 
@@ -355,7 +379,7 @@ class VerdictStore:
                     f"  file {path} arch={arch or '-'} "
                     f"config={config or '-'} status={status} "
                     f"i_ok={i_ok} o_ok={o_ok}")
-        for jrow in matview.janitor_rows(
+        for jrow in janitor_rows(
                 self._conn, JanitorViewCriteria(min_patches=1,
                                                 min_files=1,
                                                 top_n=1 << 30)):
@@ -387,7 +411,9 @@ class VerdictStore:
             "path": self.path,
             "verdicts": len(self),
             "file_rows": self._count("file_verdicts"),
-            "authors": self._count("janitor_view"),
+            "authors": self._conn.execute(
+                "SELECT COUNT(DISTINCT author_email) FROM verdicts "
+                "WHERE author_email <> ''").fetchone()[0],
             "ingested": self.ingested,
             "duplicates": self.duplicates,
             "batches": self.batches,

@@ -43,8 +43,8 @@ API_NAMES = (
     "atomic_write_text", "build_corpus", "check_commit", "check_patch",
     "collect_substrate_metrics", "configure_logging", "diff_texts",
     "evaluate", "extract_changed_files", "figure5_overall",
-    "generate_tree", "histogram_quantiles", "ingest_ledger",
-    "is_checkable", "janitor_report", "migrate_record", "open_store",
+    "generate_tree", "histogram_quantiles", "is_checkable",
+    "janitor_report", "migrate_record", "open_store",
     "parse_openmetrics", "query_verdicts", "read_jsonl",
     "render_span_tree", "resolve_outputs", "scaled_criteria", "serve",
     "span_count", "table1", "table2", "table3", "table4",
@@ -66,6 +66,8 @@ class TestRemovedSpellings:
         ("repro.service", "WatchSession"),
         ("repro.journal", "VerdictStore"),
         ("repro.api", "JMake"),
+        ("repro.api", "ingest_ledger"),
+        ("repro.errors", "WorkerLostError"),
     ])
     def test_is_gone(self, module, name):
         with pytest.raises(AttributeError):

@@ -89,14 +89,6 @@ class TestPatchReport:
     def test_empty_report_not_certified(self):
         assert not PatchReport(commit_id=None).certified
 
-    def test_c_h_partition(self):
-        report = self.make()
-        assert list(report.c_reports) == ["a.c"]
-        assert list(report.h_reports) == ["b.h"]
-
-    def test_configs_tried(self):
-        assert self.make().configs_tried() == 1
-
     def test_render_header(self):
         text = self.make().render()
         assert "CERTIFIED" in text

@@ -1,10 +1,9 @@
-"""Retention compaction: prune old verdicts, rebuild the matview.
+"""Retention compaction: prune old verdicts, then vacuum.
 
 ``compact(retain)`` keeps the newest ``retain`` verdicts by ingest
-sequence and rebuilds the janitor materialized view from the
-survivors inside the same transaction — so the ranking a dashboard
-reads immediately after compaction is exactly what a fresh store
-built from only the surviving records would produce.
+sequence, dropping the pruned ones' file rows in the same transaction
+— so the janitor ranking, derived on read, is exactly what a fresh
+store built from only the surviving records would produce.
 """
 
 import pytest
@@ -47,8 +46,8 @@ class TestCompaction:
 
     def test_matview_matches_a_fresh_store_of_survivors(
             self, store_path, tmp_path):
-        """The rebuilt ranking carries no ghost contributions from
-        pruned verdicts: it equals a store that never saw them."""
+        """The ranking after compaction carries no ghost contributions
+        from pruned verdicts: it equals a store that never saw them."""
         records = seeded_records(12)
         with VerdictStore(store_path) as store:
             store.ingest_batch(records)

@@ -1,6 +1,10 @@
-"""The §IV janitor materialized view: incremental, transactional."""
+"""The §IV janitor ranking, derived from the stored verdicts on read."""
 
-from repro.store.matview import JanitorViewCriteria
+import pytest
+
+from repro import api
+from repro.errors import StoreError
+from repro.store.query import JanitorViewCriteria
 from repro.store.store import VerdictStore
 from tests.store.conftest import v4_record
 
@@ -44,6 +48,29 @@ class TestRanking:
                 min_patches=2, min_files=1))
         assert rows == []
 
+    def test_author_without_files_is_ranked_with_zero_files(
+            self, store_path):
+        with VerdictStore(store_path) as store:
+            store.ingest_batch([v4_record(
+                "c1", author=("Dev", "dev@x.org"), files={})])
+            rows = store.janitor_report(JanitorViewCriteria(
+                min_patches=0, min_files=0))
+            assert store.janitor_report(JanitorViewCriteria(
+                min_patches=0, min_files=1)) == []
+        assert [(row.email, row.files, row.file_cv) for row in rows] \
+            == [("dev@x.org", 0, 0.0)]
+
+    def test_top_n_keeps_the_head_of_the_ranking(self, store_path):
+        with VerdictStore(store_path) as store:
+            store.ingest_batch([
+                patch("c1", "b@x.org", "drivers/a.c"),
+                patch("c2", "a@x.org", "drivers/a.c"),
+                patch("c3", "c@x.org", "drivers/a.c"),
+            ])
+            rows = store.janitor_report(JanitorViewCriteria(
+                min_patches=1, min_files=1, top_n=2))
+        assert [row.email for row in rows] == ["a@x.org", "b@x.org"]
+
     def test_verdict_tallies(self, store_path):
         with VerdictStore(store_path) as store:
             store.ingest_batch([
@@ -71,27 +98,16 @@ class TestIncrementalRefresh:
         assert row.patches == 2
         assert row.files == 2
 
-    def test_refresh_count_is_per_touched_author(self, store_path):
-        with VerdictStore(store_path) as store:
-            result = store.ingest_batch([
-                patch("c1", "a@x.org", "drivers/a.c"),
-                patch("c2", "a@x.org", "drivers/b.c"),
-                patch("c3", "b@x.org", "drivers/a.c"),
-            ])
-        assert result.authors_refreshed == 2
-
     def test_authorless_records_do_not_enter_the_view(self,
                                                       store_path):
         with VerdictStore(store_path) as store:
-            result = store.ingest_batch([
-                v4_record("c1", author=None)])
+            store.ingest_batch([v4_record("c1", author=None)])
             rows = store.janitor_report(JanitorViewCriteria(
                 min_patches=1, min_files=1))
-        assert result.authors_refreshed == 0
         assert rows == []
 
     def test_view_matches_a_from_scratch_rebuild(self, tmp_path):
-        """Incremental refresh == rebuilding the store in one batch."""
+        """Batching the ingest does not change the dump."""
         batches = [
             [patch("c1", "a@x.org", "drivers/a.c"),
              patch("c2", "b@x.org", "drivers/b.c")],
@@ -107,3 +123,27 @@ class TestIncrementalRefresh:
             one.ingest_batch([r for batch in batches for r in batch])
             oneshot = one.canonical_dump()
         assert incremental == oneshot
+
+
+class TestCriteriaValidation:
+    """Cutoffs are checked the way ``VerdictFilter.validate`` checks
+    its fields: a malformed one is a ``StoreError`` naming it."""
+
+    @pytest.mark.parametrize("name, bad", [
+        ("min_patches", -1), ("min_patches", True), ("min_patches", 1.5),
+        ("min_patches", "3"), ("min_patches", None),
+        ("min_files", -1), ("min_files", False), ("min_files", "2"),
+        ("top_n", 0), ("top_n", -1), ("top_n", True), ("top_n", 2.5),
+        ("top_n", None),
+    ])
+    def test_malformed_cutoff_is_refused(self, store_path, name, bad):
+        criteria = JanitorViewCriteria(**{name: bad})
+        with pytest.raises(StoreError, match=name):
+            api.janitor_report(store_path, criteria)
+
+    def test_zero_minimums_and_one_row_are_accepted(self, store_path):
+        with VerdictStore(store_path) as store:
+            store.ingest_batch([patch("c1", "a@x.org", "drivers/a.c")])
+            rows = store.janitor_report(JanitorViewCriteria(
+                min_patches=0, min_files=0, top_n=1))
+        assert [row.email for row in rows] == ["a@x.org"]

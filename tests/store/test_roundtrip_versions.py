@@ -54,7 +54,7 @@ class TestJournalToStoreRoundTrip:
         path, originals = journaled
         with VerdictLedger(path, fsync=False) as ledger, \
                 api.open_store(store_path) as store:
-            result = api.ingest_ledger(store, ledger)
+            result = store.ingest_ledger(ledger)
             assert result.ingested == len(originals)
             stored = {v.commit: v for v in api.query_verdicts(store)}
         assert set(stored) == set(originals)
@@ -68,7 +68,7 @@ class TestJournalToStoreRoundTrip:
         path, _ = journaled
         with VerdictLedger(path, fsync=False) as ledger, \
                 api.open_store(store_path) as store:
-            api.ingest_ledger(store, ledger)
+            store.ingest_ledger(ledger)
             partials = api.query_verdicts(store, verdict="PARTIAL")
         assert {v.commit for v in partials} == \
             {"v2-part", "v3-part", "v4-part"}
@@ -84,7 +84,7 @@ class TestJournalToStoreRoundTrip:
         path, _ = journaled
         with VerdictLedger(path, fsync=False) as ledger, \
                 api.open_store(store_path) as store:
-            api.ingest_ledger(store, ledger)
+            store.ingest_ledger(ledger)
             hits = api.query_verdicts(store, arch="x86_64")
         assert {v.commit for v in hits} == \
             {"v2-ok", "v3-ok", "v4-ok"}
@@ -94,13 +94,13 @@ class TestJournalToStoreRoundTrip:
         with api.open_store(store_path) as store:
             for _ in range(2):
                 with VerdictLedger(path, fsync=False) as ledger:
-                    result = api.ingest_ledger(store, ledger)
+                    result = store.ingest_ledger(ledger)
             assert result.ingested == 0
             assert result.skipped_stored == len(originals)
             dump_after = store.canonical_dump()
         with api.open_store(str(store_path) + ".fresh") as fresh:
             with VerdictLedger(path, fsync=False) as ledger:
-                api.ingest_ledger(fresh, ledger)
+                fresh.ingest_ledger(ledger)
             assert dump_after == fresh.canonical_dump()
 
     def test_ingest_probes_the_store_once_per_pass(
@@ -125,7 +125,7 @@ class TestJournalToStoreRoundTrip:
             results = []
             for _ in range(2):
                 with VerdictLedger(path, fsync=False) as ledger:
-                    results.append(api.ingest_ledger(store, ledger))
+                    results.append(store.ingest_ledger(ledger))
         assert len(passes) == 2
         assert [(r.ingested, r.skipped_stored) for r in results] == \
             [(len(originals) - 1, 1), (0, len(originals))]
@@ -135,5 +135,5 @@ class TestJournalToStoreRoundTrip:
         path, _ = journaled
         with VerdictLedger(path, fsync=False) as ledger, \
                 api.open_store(store_path) as store:
-            api.ingest_ledger(store, ledger)
+            store.ingest_ledger(ledger)
             assert store.meta == {"mode": "roundtrip"}

@@ -100,6 +100,23 @@ class TestLayoutGuard:
         with pytest.raises(StoreError, match="layout version 99"):
             VerdictStore(store_path)
 
+    def test_layout_one_store_is_refused(self, store_path):
+        """A store written before the ranking was derived on read
+        (layout 1, with its two ranking tables) is not opened."""
+        conn = sqlite3.connect(store_path)
+        conn.execute("CREATE TABLE meta (key TEXT PRIMARY KEY, "
+                     "value TEXT NOT NULL)")
+        conn.execute("CREATE TABLE author_files (email TEXT NOT NULL, "
+                     "path TEXT NOT NULL, patches INTEGER NOT NULL, "
+                     "PRIMARY KEY (email, path))")
+        conn.execute("INSERT INTO meta VALUES ('store_schema', '1')")
+        conn.commit()
+        conn.close()
+        assert STORE_SCHEMA_VERSION == 2
+        with pytest.raises(StoreError,
+                           match="layout version 1, this build speaks 2"):
+            VerdictStore(store_path)
+
     def test_non_database_file_is_refused(self, tmp_path):
         path = tmp_path / "not-a-db.sqlite"
         path.write_text("this is not SQLite\n" * 100)

@@ -115,8 +115,7 @@ class TestTelemetry:
         events = EventLog()
         with VerdictStore(store_path, events=events) as store:
             store.ingest_batch([v4_record("c1")])
-        assert events.counts["ingest.batch"] == 1
-        assert events.counts["ingest.matview_refreshed"] == 1
+        assert events.counts == {"ingest.batch": 1}
 
     def test_schema_error_event(self, store_path):
         events = EventLog()

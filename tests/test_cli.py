@@ -433,6 +433,33 @@ class TestQuery:
         assert main(["query", fleet_store, "--limit", "0"]) == 2
         assert "limit" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, value, name", [
+        ("--top", "0", "top_n"), ("--top", "-1", "top_n"),
+        ("--min-patches", "-1", "min_patches"),
+        ("--min-files", "-2", "min_files"),
+    ])
+    def test_malformed_janitor_cutoff_exits_two(self, capsys,
+                                                fleet_store, flag,
+                                                value, name):
+        assert main(["query", fleet_store, "--janitors",
+                     flag, value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"jmake query: janitor criteria {name}" in captured.err
+
+    def test_layout_one_store_exits_two(self, capsys, tmp_path):
+        import sqlite3
+        path = str(tmp_path / "layout1.sqlite")
+        conn = sqlite3.connect(path)
+        conn.execute("CREATE TABLE meta (key TEXT PRIMARY KEY, "
+                     "value TEXT NOT NULL)")
+        conn.execute("INSERT INTO meta VALUES ('store_schema', '1')")
+        conn.commit()
+        conn.close()
+        assert main(["query", path, "--janitors"]) == 2
+        err = capsys.readouterr().err
+        assert "layout version 1" in err and "speaks 2" in err
+
 
 class TestOutputFlagNotices:
     """The unified --out-dir umbrella: a per-sink flag overrides its
