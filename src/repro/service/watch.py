@@ -107,8 +107,12 @@ class SyntheticTrafficSource:
         from repro.workload.commits import CommitStreamGenerator
         rng = DeterministicRng(
             f"{self.corpus.spec.seed}-{self.seed}")
+        # the traffic edits the files as history left them: a generator
+        # over the base files would undo every history edit at once
+        head_files = dict(self.corpus.repository.head().tree.items())
         generator = CommitStreamGenerator(
-            self.corpus.tree, self.corpus.roster, rng)
+            dataclasses.replace(self.corpus.tree, files=head_files),
+            self.corpus.roster, rng)
         generator.generate(self.corpus.repository, self.traffic)
         self._generated = True
 

@@ -91,10 +91,15 @@ class VerdictStore:
             os.makedirs(parent, exist_ok=True)
         try:
             self._conn = sqlite3.connect(path)
-            # explicit BEGIN/COMMIT: the ingest batch is the one and
-            # only transaction boundary, never the driver's autocommit
-            self._conn.isolation_level = None
-            apply_schema(self._conn)
+            try:
+                # explicit BEGIN/COMMIT: the ingest batch is the one and
+                # only transaction boundary, never the driver's autocommit
+                self._conn.isolation_level = None
+                apply_schema(self._conn)
+            except BaseException:
+                # a refused open keeps no handle on the file
+                self._conn.close()
+                raise
         except sqlite3.DatabaseError as error:
             raise StoreError(
                 f"cannot open verdict store {path}: {error}") from error

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from itertools import chain
 from types import MappingProxyType
 from typing import ItemsView, Iterator, Mapping
 
@@ -30,6 +31,12 @@ class Signature:
         return f"{self.name} <{self.email}>"
 
 
+def _check_path(path: str) -> None:
+    """Refuse an absolute path or one that climbs out of the tree."""
+    if path.startswith("/") or ".." in path.split("/"):
+        raise ValueError(f"invalid tree path: {path!r}")
+
+
 class Tree:
     """An immutable snapshot of the source tree.
 
@@ -39,8 +46,7 @@ class Tree:
 
     def __init__(self, files: Mapping[str, str]) -> None:
         for path in files:
-            if path.startswith("/") or ".." in path.split("/"):
-                raise ValueError(f"invalid tree path: {path!r}")
+            _check_path(path)
         self._files: Mapping[str, str] = MappingProxyType(
             dict(sorted(files.items())))
         self._id: str | None = None
@@ -59,13 +65,11 @@ class Tree:
     def id(self) -> str:
         """Content hash of the whole snapshot."""
         if self._id is None:
-            hasher = hashlib.sha256()
-            for path, text in self._files.items():
-                hasher.update(path.encode("utf-8"))
-                hasher.update(b"\0")
-                hasher.update(text.encode("utf-8"))
-                hasher.update(b"\0")
-            self._id = hasher.hexdigest()
+            # "path\0text\0" per file in path order, hashed in one call;
+            # the trailing "" ends the last text with its "\0"
+            stream = "\0".join([*chain.from_iterable(self._files.items()),
+                                 ""])
+            self._id = hashlib.sha256(stream.encode("utf-8")).hexdigest()
         return self._id
 
     def __contains__(self, path: str) -> bool:
@@ -94,10 +98,23 @@ class Tree:
         return self._files.items()
 
     def with_files(self, updates: Mapping[str, str]) -> "Tree":
-        """Return a new tree with the given files replaced or added."""
-        merged = dict(self._files)
+        """Return a new tree with the given files replaced or added.
+
+        Only the paths this tree lacks are validated, and the paths are
+        sorted again only when one is added.
+        """
+        merged = self._files.copy()
         merged.update(updates)
-        return Tree(merged)
+        if len(merged) != len(self._files):
+            for path in updates:
+                if path not in self._files:
+                    _check_path(path)
+            merged = dict(sorted(merged.items()))
+        # every path is valid and in path order: skip __init__'s pass
+        tree = Tree.__new__(Tree)
+        tree._files = MappingProxyType(merged)
+        tree._id = None
+        return tree
 
     def without_files(self, paths: list[str]) -> "Tree":
         """A new tree with the given paths removed."""

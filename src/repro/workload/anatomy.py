@@ -77,21 +77,22 @@ class SourceAnatomy:
         lines = text.split("\n")
         for info in source_map.lines:
             lineno = info.lineno
-            raw = lines[lineno - 1] if lineno <= len(lines) else ""
-            if info.line_class is LineClass.COMMENT:
+            line_class = info.line_class
+            if line_class is LineClass.COMMENT:
                 anatomy.comment_lines.append(lineno)
                 continue
             if lineno in hazard_line_set:
                 continue  # classified separately
-            if info.line_class is LineClass.MACRO_DEF:
+            if line_class is LineClass.MACRO_DEF:
                 anatomy.macro_lines.append(lineno)
                 region = info.macro
                 if region is not None and "_UNUSED_" in region.name:
                     anatomy.unused_macro_lines.append(lineno)
                 continue
-            if info.line_class is LineClass.CODE and raw.strip() \
-                    and raw.rstrip().endswith(";") and _INT_RE.search(raw):
-                anatomy.code_lines.append(lineno)
+            if line_class is LineClass.CODE and lineno <= len(lines):
+                raw = lines[lineno - 1]
+                if raw.rstrip().endswith(";") and _INT_RE.search(raw):
+                    anatomy.code_lines.append(lineno)
         return anatomy
 
     def hazard_lines(self, kind: HazardKind) -> list[int]:
@@ -126,20 +127,7 @@ class SourceAnatomy:
 
     def bump_number(self, lineno: int) -> "str | None":
         """New file text with an integer literal on the line incremented."""
-        lines = self.text.split("\n")
-        if not 1 <= lineno <= len(lines):
-            return None
-        raw = lines[lineno - 1]
-        match = _INT_RE.search(raw)
-        if not match:
-            return None
-        literal = match.group(1)
-        value = int(literal, 16) if literal.startswith("0x") else int(literal)
-        replacement = hex(value + 1) if literal.startswith("0x") \
-            else str(value + 1)
-        lines[lineno - 1] = raw[:match.start()] + replacement \
-            + raw[match.end():]
-        return "\n".join(lines)
+        return bump_number(self.text, lineno)
 
     def edit_comment(self, lineno: int, tag: str) -> "str | None":
         """New text with a tag appended inside a comment line."""
@@ -186,23 +174,43 @@ class SourceAnatomy:
             lines[lineno - 1].rstrip().endswith(";")
 
 
+def bump_number(text: str, lineno: int) -> "str | None":
+    """New text with the first integer literal on the line incremented.
+
+    It reads no scan, so an edit that bumps a text again needs none.
+    """
+    lines = text.split("\n")
+    if not 1 <= lineno <= len(lines):
+        return None
+    raw = lines[lineno - 1]
+    match = _INT_RE.search(raw)
+    if not match:
+        return None
+    literal = match.group(1)
+    value = int(literal, 16) if literal.startswith("0x") else int(literal)
+    replacement = hex(value + 1) if literal.startswith("0x") \
+        else str(value + 1)
+    lines[lineno - 1] = raw[:match.start()] + replacement \
+        + raw[match.end():]
+    return "\n".join(lines)
+
+
 def _find_hazard_blocks(text: str) -> list[HazardBlock]:
     """Pair hazard openers with their #endif, collecting body lines."""
     blocks: list[HazardBlock] = []
     stack: list[tuple[HazardBlock | None, bool]] = []  # (block, in_else)
     for lineno, raw in enumerate(text.split("\n"), start=1):
+        if not stack and "#" not in raw:
+            continue  # outside every #if block only a directive counts
         stripped = raw.strip()
-        opener_kind = None
-        for regex, kind in _HAZARD_OPENERS:
-            if regex.match(stripped):
-                opener_kind = kind
-                break
-        if stripped.startswith(("#if", "#ifdef", "#ifndef")):
+        # every opener matches "^#if", so only such a line can open a block
+        if stripped.startswith("#if"):
             block = None
-            if opener_kind is not None:
-                block = HazardBlock(kind=opener_kind, start=lineno,
-                                    end=lineno)
-                blocks.append(block)
+            for regex, kind in _HAZARD_OPENERS:
+                if regex.match(stripped):
+                    block = HazardBlock(kind=kind, start=lineno, end=lineno)
+                    blocks.append(block)
+                    break
             stack.append((block, False))
             continue
         if stripped.startswith("#else"):

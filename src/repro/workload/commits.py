@@ -25,7 +25,7 @@ from repro.kernel.layout import HazardKind
 from repro.util.rng import DeterministicRng
 from repro.vcs.objects import Signature, Tree
 from repro.vcs.repository import Repository
-from repro.workload.anatomy import SourceAnatomy
+from repro.workload.anatomy import SourceAnatomy, bump_number
 from repro.workload.personas import Persona, PersonaKind
 
 
@@ -73,6 +73,14 @@ class CommitStreamGenerator:
         self._h_files = [path for path in sorted(tree.info)
                          if tree.info[path].kind in ("subsys_header",
                                                      "shared_header")]
+        #: the tree of the last commit made; each commit's tree is
+        #: built from it with ``with_files``
+        self._snapshot = Tree(self._files)
+        #: path -> its latest scan, reused while the text is that object
+        self._anatomies: dict[str, SourceAnatomy] = {}
+        #: one ``_candidate_c_files`` list per persona (not per email:
+        #: two personas may share an address)
+        self._candidates: dict[Persona, list[str]] = {}
 
     # -- public ------------------------------------------------------------
 
@@ -93,7 +101,7 @@ class CommitStreamGenerator:
         Used to guarantee coverage of rare populations: the bootstrap
         files of §V-D and the whole-kernel-rebuild outlier of Fig. 4c.
         """
-        anatomy = SourceAnatomy.scan(path, self._files[path])
+        anatomy = self._scan(path)
         target_lines = anatomy.code_lines or anatomy.macro_lines
         new_text = None
         if target_lines:
@@ -109,7 +117,7 @@ class CommitStreamGenerator:
             self._files[path] = new_text
             edits.append(FileEdit(path=path, edit_kind="code"))
         commit = repository.commit(
-            Tree(self._files), self._signature(persona),
+            self._commit_tree(), self._signature(persona),
             f"{path}: scripted update")
         return CommitMetadata(
             commit_id=commit.id, author=persona,
@@ -147,7 +155,7 @@ class CommitStreamGenerator:
                 shape = "c_only"
 
         commit = repository.commit(
-            Tree(self._files), self._signature(persona),
+            self._commit_tree(), self._signature(persona),
             self._subject(persona, shape, edits))
         record = CommitMetadata(commit_id=commit.id, author=persona,
                                 shape=shape, edits=edits)
@@ -158,12 +166,26 @@ class CommitStreamGenerator:
         head = repository.head()
         other = head.parents[0] if head.parents else head.id
         commit = repository.commit(
-            Tree(self._files), self._signature(persona),
+            self._commit_tree(), self._signature(persona),
             "Merge branch 'for-linus'",
             parents=(head.id, other) if other != head.id
             else (head.id,))
         return CommitMetadata(commit_id=commit.id, author=persona,
                               shape="merge")
+
+    def _commit_tree(self) -> Tree:
+        """The files as edited so far, as the next commit's tree."""
+        self._snapshot = self._snapshot.with_files(self._files)
+        return self._snapshot
+
+    def _scan(self, path: str) -> SourceAnatomy:
+        """The anatomy of the path's current text, scanned once per
+        text object."""
+        text = self._files[path]
+        anatomy = self._anatomies.get(path)
+        if anatomy is None or anatomy.text is not text:
+            anatomy = self._anatomies[path] = SourceAnatomy.scan(path, text)
+        return anatomy
 
     def _signature(self, persona: Persona) -> Signature:
         self._date += timedelta(hours=3)
@@ -199,13 +221,15 @@ class CommitStreamGenerator:
     # -- file selection -----------------------------------------------------------
 
     def _candidate_c_files(self, persona: Persona) -> list[str]:
-        if persona.home_subsystems:
-            files = [path for path in self._c_files
-                     if any(path.startswith(home + "/")
-                            for home in persona.home_subsystems)]
-            if files:
-                return files
-        return self._c_files
+        """The .c files under the persona's home subsystems, or every
+        one when none is there."""
+        files = self._candidates.get(persona)
+        if files is None:
+            files = self._candidates[persona] = [
+                path for path in self._c_files
+                if any(path.startswith(home + "/")
+                       for home in persona.home_subsystems)] or self._c_files
+        return files
 
     def _pick_c_file(self, persona: Persona) -> str:
         if self._rng.bernoulli(persona.arch_rate) and self._arch_c_files:
@@ -255,12 +279,11 @@ class CommitStreamGenerator:
             # block; otherwise the effective rate collapses to the small
             # fraction of files with hazards.
             hazard_path = self._pick_hazard_file(persona) or path
-            hazard_anatomy = SourceAnatomy.scan(hazard_path,
-                                                self._files[hazard_path])
+            hazard_anatomy = self._scan(hazard_path)
             hazard_edit = self._try_hazard_edit(hazard_path, hazard_anatomy)
             if hazard_edit is not None:
                 return hazard_edit
-        anatomy = SourceAnatomy.scan(path, self._files[path])
+        anatomy = self._scan(path)
         if self._rng.bernoulli(0.05):
             sweep = self._macro_sweep(path, anatomy)
             if sweep is not None:
@@ -290,7 +313,7 @@ class CommitStreamGenerator:
                 # Occasionally also touch a macro in the same file: the
                 # changes then span two mutation groups (E-S2's ≤3 tail).
                 if self._rng.bernoulli(0.15) and anatomy.macro_lines:
-                    extra = SourceAnatomy.scan(path, new_text)
+                    extra = self._scan(path)
                     if extra.macro_lines:
                         wider = extra.bump_number(
                             self._rng.choice(extra.macro_lines))
@@ -324,8 +347,7 @@ class CommitStreamGenerator:
         text = self._files[path]
         changed = False
         for lineno in anatomy.macro_lines:
-            current = SourceAnatomy.scan(path, text)
-            bumped = current.bump_number(lineno)
+            bumped = bump_number(text, lineno)
             if bumped is not None:
                 text = bumped
                 changed = True
@@ -351,8 +373,7 @@ class CommitStreamGenerator:
             if not body_numeric or not else_numeric:
                 return None
             text = anatomy.bump_number(self._rng.choice(body_numeric))
-            anatomy2 = SourceAnatomy.scan(path, text)
-            text = anatomy2.bump_number(self._rng.choice(else_numeric))
+            text = bump_number(text, self._rng.choice(else_numeric))
             if text is None:
                 return None
             self._files[path] = text
@@ -369,7 +390,7 @@ class CommitStreamGenerator:
 
     def _edit_header(self, persona: Persona) -> list[FileEdit]:
         path = self._pick_header(persona)
-        anatomy = SourceAnatomy.scan(path, self._files[path])
+        anatomy = self._scan(path)
         info = self._tree.info.get(path)
         lines = self._files[path].split("\n")
 
@@ -404,7 +425,7 @@ class CommitStreamGenerator:
         if edits and used and self._rng.bernoulli(0.25):
             # A second macro in the same header: multi-mutation .h
             # instances (E-S2's "75% need only one" shape).
-            rescan = SourceAnatomy.scan(path, self._files[path])
+            rescan = self._scan(path)
             extra = [l for l in rescan.macro_lines
                      if is_used_macro_line(l)]
             if extra:

@@ -11,6 +11,7 @@ import pytest
 from repro import api
 from repro.errors import SimulatedCrashError, StoreError
 from repro.obs.events import EventLog
+from repro.vcs.repository import LogOptions
 from repro.workload.corpus import CorpusSpec, build_corpus
 
 
@@ -160,6 +161,26 @@ class TestSyntheticTraffic:
     def test_rejects_empty_traffic(self, traffic_corpus):
         with pytest.raises(ValueError, match="positive"):
             api.SyntheticTrafficSource(traffic_corpus, traffic=0)
+
+    def test_traffic_edits_the_head_files(self):
+        """No synthetic commit changes more paths than one generated
+        commit can edit: the traffic starts from the files as history
+        left them, so its first commit does not revert that history."""
+        corpus = build_corpus(CorpusSpec(seed="t", history_commits=60,
+                                         eval_commits=40,
+                                         regular_developers=10))
+        head = corpus.repository.head().id
+        api.SyntheticTrafficSource(corpus, traffic=6).next_commits(6)
+        appended = corpus.repository.commits_after(
+            head, options=LogOptions(ignore_whitespace=False,
+                                     modifications_only=False,
+                                     no_merges=False))
+        assert len(appended) == 6
+        most = max(persona.max_files for persona in corpus.roster)
+        for commit in appended:
+            changed = corpus.repository.changed_paths(
+                commit, ignore_whitespace=False)
+            assert len(changed) <= most, (commit.id, changed)
 
 
 class TestGuards:

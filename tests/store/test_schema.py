@@ -147,6 +147,37 @@ class TestLayoutGuard:
         with pytest.raises(StoreError, match="cannot open"):
             VerdictStore(str(path))
 
+    @pytest.mark.parametrize("content", ["layout-3", "not-a-database"])
+    def test_refused_open_closes_its_connection(self, store_path,
+                                                monkeypatch, content):
+        """Neither a foreign layout nor a file SQLite cannot read leaves
+        the refused store's connection open while the error lives."""
+        if content == "layout-3":
+            conn = sqlite3.connect(store_path)
+            conn.execute("CREATE TABLE meta (key TEXT PRIMARY KEY, "
+                         "value TEXT NOT NULL)")
+            conn.execute("INSERT INTO meta VALUES ('store_schema', '3')")
+            conn.commit()
+            conn.close()
+        else:
+            with open(store_path, "w") as handle:
+                handle.write("this is not SQLite\n" * 100)
+        opened = []
+        connect = sqlite3.connect
+
+        def recording_connect(*args, **kwargs):
+            opened.append(connect(*args, **kwargs))
+            return opened[-1]
+
+        monkeypatch.setattr(sqlite3, "connect", recording_connect)
+        for _ in range(3):
+            with pytest.raises(StoreError):
+                VerdictStore(store_path)
+        assert len(opened) == 3
+        for conn in opened:
+            with pytest.raises(sqlite3.ProgrammingError, match="closed"):
+                conn.execute("SELECT 1")
+
 
 class TestVersionTag:
     def test_canonical_records_in_dump_carry_v3_suffix(self, store_path):
