@@ -57,7 +57,9 @@ from repro.obs.logcfg import get_logger
 # payloads (which embed both) must not be loaded
 # v4: the include-dependency graph is gone, so v3 payloads carry a
 # "graph" object whose class no longer exists
-_PICKLE_VERSION = 4
+# v5: a KbuildMakefile indexes its rules when it is made, so v4
+# makefile payloads lack the lookups its queries read
+_PICKLE_VERSION = 5
 
 _logger = get_logger("buildcache")
 

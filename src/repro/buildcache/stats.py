@@ -32,10 +32,10 @@ class KindStats:
 
     Standalone construction (``KindStats(hits=3)``) owns a private
     registry; :meth:`CacheStats.kind` hands out views bound to the
-    shared one.
+    shared one. A view names its counters once, at construction.
     """
 
-    __slots__ = ("_registry", "_prefix")
+    __slots__ = ("_registry", "_names")
 
     def __init__(self, hits: int = 0, misses: int = 0, evictions: int = 0,
                  bytes_saved: int = 0, sim_seconds_saved: float = 0.0, *,
@@ -43,18 +43,18 @@ class KindStats:
                  prefix: str = "cache._") -> None:
         self._registry = registry if registry is not None \
             else MetricsRegistry()
-        self._prefix = prefix
+        self._names = {name: f"{prefix}.{name}" for name in FIELDS}
         if registry is None:
             for name, value in zip(FIELDS, (hits, misses, evictions,
                                             bytes_saved, sim_seconds_saved)):
                 if value:
-                    self._registry.counter(f"{prefix}.{name}").value = value
+                    self._registry.counter(self._names[name]).value = value
 
     def _get(self, name: str):
-        return self._registry.counter(f"{self._prefix}.{name}").value
+        return self._registry.counter(self._names[name]).value
 
     def _set(self, name: str, value) -> None:
-        self._registry.counter(f"{self._prefix}.{name}").value = value
+        self._registry.counter(self._names[name]).value = value
 
     @property
     def probes(self) -> int:
@@ -94,11 +94,17 @@ class CacheStats:
         self.registry = registry if registry is not None \
             else MetricsRegistry()
         self._kind_names: set[str] = set(KINDS)
+        self._views: dict[str, KindStats] = {}
 
     def kind(self, name: str) -> KindStats:
-        """The counter set for one kind (registered on demand)."""
-        self._kind_names.add(name)
-        return KindStats(registry=self.registry, prefix=f"cache.{name}")
+        """The counter set for one kind (registered on demand); one
+        view per kind, made on the first call."""
+        view = self._views.get(name)
+        if view is None:
+            self._kind_names.add(name)
+            view = self._views[name] = KindStats(registry=self.registry,
+                                                 prefix=f"cache.{name}")
+        return view
 
     @property
     def kind_names(self) -> "list[str]":

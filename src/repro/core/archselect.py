@@ -21,7 +21,10 @@ the "unsupported architecture required" verdict.
 Steps 3 and 4 answer from an index of the arch/ files built once per
 distinct arch/ content (:func:`_arch_index`), not from a regex scan of
 every arch/ file per variable: the arch/ subtree rarely changes between
-commits, while the variables differ for every selected file.
+commits, while the variables differ for every selected file. A check
+whose worktree shows the committed arch/ files takes the index its
+tree carries along the lineage (:meth:`Tree.carried`), so it reads no
+arch/ file unless a commit since the last indexed tree updated one.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ from repro.kbuild.build import BuildSystem
 from repro.obs.metrics import NULL_METRICS
 from repro.obs.tracer import NULL_TRACER
 from repro.util.rng import DeterministicRng
+from repro.vcs.objects import Tree
 
 
 #: ``v`` matches ``\bCONFIG_<v>\b`` exactly when it is the whole word
@@ -72,6 +76,27 @@ class _ArchIndex(NamedTuple):
     dirs: Mapping[str, tuple[str, ...]]
     #: variable -> arch/**/configs/ files assigning it, in path order
     configs: Mapping[str, tuple[str, ...]]
+
+
+def _arch_files(paths: list[str], read: Callable[[str], "str | None"]
+                ) -> tuple[tuple[str, str], ...]:
+    """The ``(path, text)`` pairs of every arch/<d>/ file, given the
+    tree's sorted paths and a reader."""
+    # sorted paths put arch/ in one slice: "0" follows "/"
+    start = bisect_left(paths, "arch/")
+    stop = bisect_left(paths, "arch0", start)
+    files = []
+    for path in paths[start:stop]:
+        if path.count("/") >= 2:
+            text = read(path)
+            if text is not None:
+                files.append((path, text))
+    return tuple(files)
+
+
+def _tree_index(tree: Tree) -> "_ArchIndex":
+    """The index of a committed tree's arch/ files."""
+    return _arch_index(_arch_files(tree.paths(), tree.get))
 
 
 @lru_cache(maxsize=16)
@@ -127,16 +152,23 @@ class ArchSelector:
 
     ``path_lister`` returns the tree's paths sorted, as
     :meth:`Worktree.paths` does; ``provider`` reads one file's text.
+    ``committed_tree``, as :meth:`Worktree.committed_tree`, returns the
+    commit's tree while the worktree shows every file under a prefix
+    as committed, else None; without it the arch/ files are always
+    read through ``provider``.
     """
     def __init__(self, build_system: BuildSystem,
                  path_lister: Callable[[], list[str]],
                  provider: Callable[[str], "str | None"],
                  rng: DeterministicRng | None = None,
                  use_configs: bool = True,
-                 tracer=None, metrics=None) -> None:
+                 tracer=None, metrics=None,
+                 committed_tree: "Callable[[str], Tree | None] | None"
+                 = None) -> None:
         self._build = build_system
         self._paths = path_lister
         self._provider = provider
+        self._committed_tree = committed_tree
         self._rng = rng or DeterministicRng("archselect")
         self._use_configs = use_configs
         self._tracer = tracer if tracer is not None else NULL_TRACER
@@ -173,7 +205,7 @@ class ArchSelector:
             return selection
 
         try:
-            self._build.governing_makefile(source_path)
+            makefile = self._build.governing_makefile(source_path)
         except MakefileNotFoundError:
             selection.no_makefile = True
             return selection
@@ -182,7 +214,6 @@ class ArchSelector:
         self._add(selection, Candidate(registry.host.name))
 
         # 2. Makefile config-variable hints -> architectures.
-        makefile = self._build.governing_makefile(source_path)
         variables = makefile.config_vars_for_object(parts[-1])
         for variable in variables:
             for directory in self._arch_dirs_mentioning(variable):
@@ -217,20 +248,18 @@ class ArchSelector:
             selection.candidates.append(candidate)
 
     def _mention_index(self) -> _ArchIndex:
-        """The index of this check's arch/ files, each read once."""
+        """The index of this check's arch/ files: carried along the
+        committed tree's lineage, or each file read once when the
+        worktree changes an arch/ file."""
         if self._index is None:
-            paths = self._paths()
-            # sorted paths put arch/ in one slice: "0" follows "/"
-            start = bisect_left(paths, "arch/")
-            stop = bisect_left(paths, "arch0", start)
-            provider = self._provider
-            files = []
-            for path in paths[start:stop]:
-                if path.count("/") >= 2:
-                    text = provider(path)
-                    if text is not None:
-                        files.append((path, text))
-            self._index = _arch_index(tuple(files))
+            tree = self._committed_tree("arch/") \
+                if self._committed_tree is not None else None
+            if tree is not None:
+                self._index = tree.carried("archselect.index", "arch/",
+                                           _tree_index)
+            else:
+                self._index = _arch_index(
+                    _arch_files(self._paths(), self._provider))
         return self._index
 
     def _arch_dirs_mentioning(self, variable: str) -> list[str]:

@@ -200,7 +200,8 @@ class CheckSession:
                 build, worktree.paths, worktree.as_file_provider(),
                 rng=DeterministicRng(self.options.selection_seed),
                 use_configs=self.options.use_configs,
-                tracer=self.tracer, metrics=self.metrics)
+                tracer=self.tracer, metrics=self.metrics,
+                committed_tree=worktree.committed_tree)
 
             report = PatchReport(commit_id=commit_id)
             with self.tracer.span("patch.extract_changes") as extract_span:

@@ -16,7 +16,13 @@ A physical line's facts depend only on its text and on whether it
 starts inside a block comment, so each distinct (line, entry state)
 pair is classified once (:func:`_line_facts`, a bounded LRU): a mutated
 file shares all but a few lines with its original, and the files of
-one tree share many lines with each other.
+one tree share many lines with each other. A line with neither ``/``
+nor ``#`` can open, close or hold no comment and name no directive, so
+it is code (comment inside a block comment) without a memo lookup.
+
+A :class:`SourceMap` keeps one :class:`LineClass` per line, the macro
+regions, and the comment-end facts of the few lines that close an
+entry comment; a :class:`LineInfo` is built only when one is asked for.
 """
 
 from __future__ import annotations
@@ -25,8 +31,6 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from typing import NamedTuple
-
-from repro.util.text import split_lines_keepends
 
 
 class LineClass(Enum):
@@ -85,70 +89,102 @@ class SourceMap:
     def __init__(self, path: str, text: str) -> None:
         self.path = path
         self.text = text
-        self.lines: list[LineInfo] = []
+        #: the class of each physical line, line 1 first
+        self.classes: list[LineClass] = []
         self.macros: list[MacroRegion] = []
+        self._physical: list[str] = []
+        #: 1-based line -> its macro region, for MACRO_DEF lines
+        self._macro_of: dict[int, MacroRegion] = {}
+        #: 1-based line -> (starts_mid_comment, comment_end_column),
+        #: for the lines where either differs from (False, 0)
+        self._comment_ends: dict[int, tuple[bool, int]] = {}
         self._analyze()
 
     # -- queries -----------------------------------------------------------
 
+    @property
+    def lines(self) -> list[LineInfo]:
+        """A LineInfo per physical line, built on each access."""
+        return [self.info(lineno)
+                for lineno in range(1, len(self.classes) + 1)]
+
     def info(self, lineno: int) -> LineInfo:
         """The LineInfo for a 1-based line number."""
-        if not 1 <= lineno <= len(self.lines):
-            raise IndexError(f"{self.path}: no line {lineno}")
-        return self.lines[lineno - 1]
+        line_class = self.classify(lineno)
+        starts_mid, end_column = self._comment_ends.get(lineno, (False, 0))
+        return LineInfo(lineno=lineno, text=self._physical[lineno - 1],
+                        line_class=line_class,
+                        macro=self._macro_of.get(lineno),
+                        starts_mid_comment=starts_mid,
+                        comment_end_column=end_column)
 
     def classify(self, lineno: int) -> LineClass:
         """The LineClass for a 1-based line number."""
-        return self.info(lineno).line_class
+        if not 1 <= lineno <= len(self.classes):
+            raise IndexError(f"{self.path}: no line {lineno}")
+        return self.classes[lineno - 1]
 
     def macro_at(self, lineno: int) -> MacroRegion | None:
         """The macro region covering the line, or None."""
-        return self.info(lineno).macro
+        self.classify(lineno)
+        return self._macro_of.get(lineno)
 
     def last_conditional_before(self, lineno: int) -> int:
         """1-based line of the nearest conditional directive strictly
         before ``lineno``; 0 when none (i.e. since file start)."""
+        classes = self.classes
         for index in range(lineno - 2, -1, -1):
-            if self.lines[index].line_class is LineClass.CONDITIONAL:
+            if classes[index] is LineClass.CONDITIONAL:
                 return index + 1
         return 0
 
     def line_count(self) -> int:
         """Number of physical lines in the file."""
-        return len(self.lines)
+        return len(self.classes)
 
     # -- analysis -------------------------------------------------------------
 
     def _analyze(self) -> None:
-        physical = [line.rstrip("\n")
-                    for line in split_lines_keepends(self.text)]
+        # the physical lines without their "\n": a final "\n" ends the
+        # last line rather than starting an empty one
+        physical = self.text.split("\n")
+        if not physical[-1]:
+            physical.pop()
+        self._physical = physical
+        classes = self.classes
+        code, comment, macro_def = \
+            LineClass.CODE, LineClass.COMMENT, LineClass.MACRO_DEF
+        count = len(physical)
         in_block_comment = False
         index = 0
-        while index < len(physical):
+        while index < count:
             raw = physical[index]
+            if "/" not in raw and "#" not in raw:
+                classes.append(comment if in_block_comment else code)
+                index += 1
+                continue
             facts = _line_facts(raw, in_block_comment)
             in_block_comment = facts.exit_state
             if facts.line_class is not None:
-                self.lines.append(LineInfo(
-                    lineno=index + 1, text=raw, line_class=facts.line_class,
-                    starts_mid_comment=facts.starts_mid_comment,
-                    comment_end_column=facts.comment_end_column))
+                classes.append(facts.line_class)
+                if facts.starts_mid_comment or facts.comment_end_column:
+                    self._comment_ends[index + 1] = (
+                        facts.starts_mid_comment, facts.comment_end_column)
                 index += 1
                 continue
             # A #define: extend through continuations.
             end_index = index
-            while end_index < len(physical) - 1 and \
+            while end_index < count - 1 and \
                     physical[end_index].rstrip(" \t").endswith("\\"):
                 end_index += 1
             region = MacroRegion(name=facts.macro_name, start=index + 1,
                                  end=end_index + 1)
             self.macros.append(region)
             for offset in range(index, end_index + 1):
-                self.lines.append(LineInfo(
-                    lineno=offset + 1, text=physical[offset],
-                    line_class=LineClass.MACRO_DEF, macro=region))
+                classes.append(macro_def)
+                self._macro_of[offset + 1] = region
                 # Comment state may change inside the macro body.
-                if offset != index:
+                if offset != index and "/" in physical[offset]:
                     in_block_comment = _line_facts(
                         physical[offset], in_block_comment).exit_state
             index = end_index + 1

@@ -163,6 +163,8 @@ class BuildSystem:
         self._model_cache: dict[str, ConfigModel] = {}
         self._model_digests: dict[str, str] = {}
         self._makefile_cache: dict[str, KbuildMakefile | None] = {}
+        self._buildable: dict[tuple[str, str, int],
+                              tuple[bool, Config]] = {}
         self._invocations_seen: set[tuple[str, str]] = set()
         self.invocations: list[MakeInvocation] = []
 
@@ -390,10 +392,8 @@ class BuildSystem:
             parent_makefile = self.makefile_for_directory(parent)
             if parent_makefile is None:
                 break
-            subdir_name = posixpath.basename(directory) + "/"
-            subdir_rule = next(
-                (r for r in parent_makefile.subdir_rules()
-                 if r.target == subdir_name), None)
+            subdir_rule = parent_makefile.subdir_rule(
+                posixpath.basename(directory) + "/")
             if subdir_rule is not None and \
                     subdir_rule.condition is not None:
                 symbols.add(subdir_rule.condition)
@@ -447,7 +447,22 @@ class BuildSystem:
 
     def is_buildable(self, source_path: str, arch_name: str,
                      config: Config) -> bool:
-        """Does ``make source.o`` have an enabled rule chain?"""
+        """Does ``make source.o`` have an enabled rule chain?
+
+        Answered once per (path, architecture, configuration): the
+        Makefiles are read once per build system, and a configuration
+        is not changed once built.
+        """
+        key = (source_path, arch_name, id(config))
+        answer = self._buildable.get(key)
+        if answer is None:
+            # the configuration stays referenced, so its id is not reused
+            self._buildable[key] = answer = (
+                self._is_buildable(source_path, arch_name, config), config)
+        return answer[0]
+
+    def _is_buildable(self, source_path: str, arch_name: str,
+                      config: Config) -> bool:
         parts = source_path.split("/")
         if parts[0] == "arch":
             if len(parts) < 3:
@@ -476,9 +491,8 @@ class BuildSystem:
             parent_makefile = self.makefile_for_directory(parent)
             if parent_makefile is None:
                 return False
-            subdir_name = posixpath.basename(directory) + "/"
-            rule = next((r for r in parent_makefile.subdir_rules()
-                         if r.target == subdir_name), None)
+            rule = parent_makefile.subdir_rule(
+                posixpath.basename(directory) + "/")
             if rule is None:
                 return False
             if rule.condition is not None and not config.enabled(rule.condition):

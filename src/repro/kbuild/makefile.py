@@ -44,7 +44,11 @@ class ObjectRule:
 
 @dataclass
 class KbuildMakefile:
-    """Parsed content of one directory's Makefile."""
+    """Parsed content of one directory's Makefile.
+
+    Construction indexes the rules once; every query below is a dict
+    lookup, and where a name has several rules the first one wins.
+    """
 
     directory: str
     #: objects/subdirs attached directly to obj-…
@@ -53,11 +57,57 @@ class KbuildMakefile:
     composites: dict[str, list[ObjectRule]] = field(default_factory=dict)
     #: every CONFIG_* symbol textually mentioned anywhere in the file
     mentioned_config_vars: list[str] = field(default_factory=list)
+    #: the rule governing each object or composite member, by name
+    _source_rules: dict[str, ObjectRule] = field(
+        init=False, repr=False, compare=False)
+    #: the first obj- rule of each subdirectory, by "name/"
+    _subdirs: dict[str, ObjectRule] = field(
+        init=False, repr=False, compare=False)
+    #: the config variables tied to each object or composite member
+    _config_vars: dict[str, tuple[str, ...]] = field(
+        init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        objects: dict[str, ObjectRule] = {}
+        subdirs: dict[str, ObjectRule] = {}
+        conditions: dict[str, list[str]] = {}
+        for rule in self.objects:
+            if rule.is_subdir:
+                subdirs.setdefault(rule.target, rule)
+                continue
+            objects.setdefault(rule.target, rule)
+            named = conditions.setdefault(rule.target, [])
+            if rule.condition:
+                named.append(rule.condition)
+        # a member is governed by the obj- rule of the first composite
+        # holding it that has one (its own .o rule wins over both)
+        composite_rules: dict[str, ObjectRule] = {}
+        found: dict[str, list[str]] = {
+            target: list(names) for target, names in conditions.items()}
+        for label, members in self.composites.items():
+            outer = objects.get(label + ".o")
+            outer_conditions = conditions.get(label + ".o", ())
+            held: dict[str, list[str]] = {}
+            for member in members:
+                if outer is not None:
+                    composite_rules.setdefault(member.target, outer)
+                named = held.setdefault(member.target, [])
+                if member.condition:
+                    named.append(member.condition)
+            for target, names in held.items():
+                found.setdefault(target, []).extend(
+                    [*names, *outer_conditions])
+        self._source_rules = {**composite_rules, **objects}
+        self._subdirs = subdirs
+        self._config_vars = {target: tuple(dict.fromkeys(names))
+                             for target, names in found.items()}
 
     @classmethod
     def parse(cls, text: str, directory: str = "") -> "KbuildMakefile":
         """Parse one Makefile's Kbuild-relevant lines."""
-        makefile = cls(directory=directory)
+        objects: list[ObjectRule] = []
+        composites: dict[str, list[ObjectRule]] = {}
+        mentioned: list[str] = []
         seen_vars: set[str] = set()
         for raw in text.split("\n"):
             line = raw.split("#", 1)[0].rstrip()
@@ -67,7 +117,7 @@ class KbuildMakefile:
                 name = match.group(1)
                 if name not in seen_vars:
                     seen_vars.add(name)
-                    makefile.mentioned_config_vars.append(name)
+                    mentioned.append(name)
             match = _RULE_RE.match(line.strip())
             if not match:
                 continue
@@ -86,12 +136,13 @@ class KbuildMakefile:
             rules = [ObjectRule(target=item, condition=condition)
                      for item in items]
             if label == "obj":
-                makefile.objects.extend(rules)
+                objects.extend(rules)
             elif is_composite_def and label not in (
                     "ccflags", "asflags", "ldflags", "subdir-ccflags",
                     "extra", "always", "targets", "clean"):
-                makefile.composites.setdefault(label, []).extend(rules)
-        return makefile
+                composites.setdefault(label, []).extend(rules)
+        return cls(directory=directory, objects=objects,
+                   composites=composites, mentioned_config_vars=mentioned)
 
     # -- queries ------------------------------------------------------------
 
@@ -103,6 +154,10 @@ class KbuildMakefile:
         """The obj- entries naming .o files."""
         return [rule for rule in self.objects if not rule.is_subdir]
 
+    def subdir_rule(self, name: str) -> ObjectRule | None:
+        """The first obj- entry naming subdirectory ``name`` ("sub/")."""
+        return self._subdirs.get(name)
+
     def rule_for_source(self, c_basename: str) -> ObjectRule | None:
         """The rule governing ``name.c`` (via ``name.o`` or a composite).
 
@@ -110,19 +165,7 @@ class KbuildMakefile:
         condition on the composite's own ``obj-`` line wins, matching how
         kbuild actually gates compilation.
         """
-        obj_name = c_basename[:-2] + ".o" if c_basename.endswith(".c") \
-            else c_basename
-        for rule in self.object_rules():
-            if rule.target == obj_name:
-                return rule
-        stem = obj_name[:-2]
-        for composite, members in self.composites.items():
-            if not any(member.target == obj_name for member in members):
-                continue
-            for rule in self.object_rules():
-                if rule.target == composite + ".o":
-                    return rule
-        return None
+        return self._source_rules.get(_object_name(c_basename))
 
     def config_vars_for_object(self, c_basename: str) -> list[str]:
         """The §III-C heuristic: config variables tied to one object.
@@ -132,30 +175,8 @@ class KbuildMakefile:
            labels containing it;
         3. if nothing found, *all* config variables in the Makefile.
         """
-        obj_name = c_basename[:-2] + ".o" if c_basename.endswith(".c") \
-            else c_basename
-        found: list[str] = []
-
-        direct = [rule for rule in self.object_rules()
-                  if rule.target == obj_name and rule.condition]
-        found.extend(rule.condition for rule in direct)
-
-        for composite, members in self.composites.items():
-            if any(member.target == obj_name for member in members):
-                for member in members:
-                    if member.target == obj_name and member.condition:
-                        found.append(member.condition)
-                for rule in self.object_rules():
-                    if rule.target == composite + ".o" and rule.condition:
-                        found.append(rule.condition)
-
-        if not found:
-            found = list(self.mentioned_config_vars)
-        unique: list[str] = []
-        for name in found:
-            if name not in unique:
-                unique.append(name)
-        return unique
+        found = self._config_vars.get(_object_name(c_basename))
+        return list(found or self.mentioned_config_vars)
 
     def source_is_enabled(self, c_basename: str, config: Config) -> bool:
         """Is ``name.c`` compiled in this directory under ``config``?"""
@@ -172,3 +193,9 @@ class KbuildMakefile:
         if rule is None or rule.condition is None:
             return False
         return config.modular(rule.condition)
+
+
+def _object_name(c_basename: str) -> str:
+    """``name.o`` for ``name.c``; any other name as it is."""
+    return c_basename[:-2] + ".o" if c_basename.endswith(".c") \
+        else c_basename

@@ -63,6 +63,7 @@ so a killed coordinator leaves no worker behind. A ``jmake worker
 
 from __future__ import annotations
 
+import ipaddress
 import multiprocessing
 import multiprocessing.connection
 import os
@@ -148,6 +149,30 @@ class ReconnectPolicy:
         return ceiling * jitter
 
 
+def _dial(host: str, port: int) -> socket_module.socket:
+    """A TCP socket connected to ``(host, port)``.
+
+    An IP literal is connected directly: ``socket.create_connection``
+    would resolve it through ``getaddrinfo``, whose idna encoding of
+    the host imports ``encodings.idna``, ``stringprep`` and
+    ``unicodedata`` into every worker. A host name still goes through
+    ``create_connection``.
+    """
+    try:
+        address = ipaddress.ip_address(host)
+    except ValueError:
+        return socket_module.create_connection((host, port))
+    family = socket_module.AF_INET6 if address.version == 6 \
+        else socket_module.AF_INET
+    sock = socket_module.socket(family, socket_module.SOCK_STREAM)
+    try:
+        sock.connect((host, port))
+    except BaseException:
+        sock.close()
+        raise
+    return sock
+
+
 class SocketChildChannel:
     """Frame transport over a blocking TCP socket.
 
@@ -157,7 +182,7 @@ class SocketChildChannel:
     """
 
     def __init__(self, host: str, port: int) -> None:
-        self._sock = socket_module.create_connection((host, port))
+        self._sock = _dial(host, port)
         self._decoder = wire.FrameDecoder()
         self._send_lock = threading.Lock()
 

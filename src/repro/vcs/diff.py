@@ -266,9 +266,23 @@ def _lines(text: str) -> list[str]:
     return lines
 
 
-def _squeezed(lines: list[str]) -> list[str]:
-    """Each line with all of its whitespace removed (``-w``)."""
-    return ["".join(line.split()) for line in lines]
+#: every code point but ``\n`` for which ``str.isspace()`` is true;
+#: deleting them from a line is ``"".join(line.split())``
+_SPACES = ("\t\x0b\x0c\r\x1c\x1d\x1e\x1f \x85\xa0\u1680"
+           "\u2000\u2001\u2002\u2003\u2004\u2005\u2006\u2007\u2008"
+           "\u2009\u200a\u2028\u2029\u202f\u205f\u3000")
+_SQUEEZE = str.maketrans("", "", _SPACES)
+
+
+def _squeezed(text: str) -> list[str]:
+    """The lines :func:`_lines` splits the text into, each with all of
+    its whitespace removed (``-w``), from one translate of the text."""
+    lines = text.translate(_SQUEEZE).split("\n")
+    # decided on the text, not its squeeze: "a\n  " ends in a line of
+    # spaces, which squeezes to "" and is kept
+    if not text or text.endswith("\n"):
+        lines.pop()
+    return lines
 
 
 def texts_differ(old: str, new: str, *,
@@ -288,7 +302,7 @@ def texts_differ(old: str, new: str, *,
     # line added or removed.
     if "".join(old.split()) != "".join(new.split()):
         return True
-    return _squeezed(_lines(old)) != _squeezed(_lines(new))
+    return _squeezed(old) != _squeezed(new)
 
 
 def diff_texts(path: str, old: str, new: str, *, context: int = 3,
@@ -302,8 +316,8 @@ def diff_texts(path: str, old: str, new: str, *, context: int = 3,
     old_lines = _lines(old)
     new_lines = _lines(new)
     if ignore_whitespace:
-        matcher = difflib.SequenceMatcher(a=_squeezed(old_lines),
-                                          b=_squeezed(new_lines),
+        matcher = difflib.SequenceMatcher(a=_squeezed(old),
+                                          b=_squeezed(new),
                                           autojunk=False)
     else:
         matcher = difflib.SequenceMatcher(a=old_lines, b=new_lines,

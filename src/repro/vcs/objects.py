@@ -16,7 +16,9 @@ import hashlib
 from dataclasses import dataclass, field
 from itertools import chain
 from types import MappingProxyType
-from typing import ItemsView, Iterator, Mapping
+from typing import Callable, ItemsView, Iterator, Mapping, TypeVar
+
+_T = TypeVar("_T")
 
 
 @dataclass(frozen=True)
@@ -41,7 +43,10 @@ class Tree:
     """An immutable snapshot of the source tree.
 
     Files are held in path order, so listing or iterating the paths
-    never sorts them again.
+    never sorts them again. A tree made by :meth:`with_files` remembers
+    its base tree and the paths it updated (its lineage), so a value
+    derived from one subtree can be carried to descendants that left
+    that subtree alone (:meth:`carried`).
     """
 
     def __init__(self, files: Mapping[str, str]) -> None:
@@ -50,16 +55,23 @@ class Tree:
         self._files: Mapping[str, str] = MappingProxyType(
             dict(sorted(files.items())))
         self._id: str | None = None
+        self._base: Tree | None = None
+        self._updated: tuple[str, ...] = ()
+        self._carried: dict[str, object] | None = None
 
     def __getstate__(self) -> dict:
         # mappingproxy objects refuse to pickle; spawned transport
         # workers receive whole corpora, so serialize the plain dict
-        # and restore the read-only view on load
+        # and restore the read-only view on load. The lineage and the
+        # values carried along it stay behind: a loaded tree is a root.
         return {"files": dict(self._files), "id": self._id}
 
     def __setstate__(self, state: dict) -> None:
         self._files = MappingProxyType(dict(sorted(state["files"].items())))
         self._id = state["id"]
+        self._base = None
+        self._updated = ()
+        self._carried = None
 
     @property
     def id(self) -> str:
@@ -101,38 +113,55 @@ class Tree:
         """Return a new tree with the given files replaced or added.
 
         Only the paths this tree lacks are validated, and the paths are
-        sorted again only when one is added.
+        sorted again only when one is added. The new tree's lineage
+        names this tree and the paths whose text differs from it.
         """
-        merged = self._files.copy()
+        files = self._files
+        updated = tuple(path for path, text in updates.items()
+                        if files.get(path) != text)
+        merged = files.copy()
         merged.update(updates)
-        if len(merged) != len(self._files):
+        if len(merged) != len(files):
             for path in updates:
-                if path not in self._files:
+                if path not in files:
                     _check_path(path)
             merged = dict(sorted(merged.items()))
         # every path is valid and in path order: skip __init__'s pass
         tree = Tree.__new__(Tree)
         tree._files = MappingProxyType(merged)
         tree._id = None
+        tree._base = self
+        tree._updated = updated
+        tree._carried = None
         return tree
 
-    def without_files(self, paths: list[str]) -> "Tree":
-        """A new tree with the given paths removed."""
-        merged = {path: text for path, text in self._files.items()
-                  if path not in set(paths)}
-        return Tree(merged)
+    def carried(self, key: str, prefix: str,
+                derive: Callable[["Tree"], _T]) -> _T:
+        """``derive(self)``, for a ``derive`` that reads only the files
+        whose paths start with ``prefix``.
 
-    def glob(self, *, suffix: str | None = None,
-             prefix: str | None = None) -> list[str]:
-        """Paths filtered by suffix and/or directory prefix."""
-        selected = self.paths()
-        if prefix is not None:
-            normalized = prefix.rstrip("/") + "/"
-            selected = [path for path in selected
-                        if path.startswith(normalized)]
-        if suffix is not None:
-            selected = [path for path in selected if path.endswith(suffix)]
-        return selected
+        The value is kept on this tree under ``key``. It is taken from
+        the nearest tree of the lineage that keeps it, unless a tree on
+        the way there updated a path under ``prefix``: trees only add
+        or replace files, so every other path keeps its text. A tree
+        without a base derives the value itself.
+        """
+        tree = self
+        while True:
+            kept = tree._carried
+            if kept is not None and key in kept:
+                value = kept[key]
+                break
+            base = tree._base
+            if base is None or any(path.startswith(prefix)
+                                   for path in tree._updated):
+                value = derive(self)
+                break
+            tree = base
+        if self._carried is None:
+            self._carried = {}
+        self._carried[key] = value
+        return value  # type: ignore[return-value]
 
 
 @dataclass(frozen=True)

@@ -303,6 +303,16 @@ class Worktree:
             return self.commit.tree.paths()
         return sorted(set(self.commit.tree.paths()).union(self.untracked))
 
+    def committed_tree(self, prefix: str) -> Tree | None:
+        """The commit's tree while every path under ``prefix`` reads as
+        committed: neither the overlay nor the untracked files hold
+        one. None otherwise."""
+        for layer in (self.overlay, self.untracked):
+            for path in layer:
+                if path.startswith(prefix):
+                    return None
+        return self.commit.tree
+
     def clean(self) -> None:
         """git clean -dfx: drop generated (untracked) files."""
         self.untracked.clear()

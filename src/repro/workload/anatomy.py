@@ -75,9 +75,7 @@ class SourceAnatomy:
             hazard_line_set.add(block.end)
 
         lines = text.split("\n")
-        for info in source_map.lines:
-            lineno = info.lineno
-            line_class = info.line_class
+        for lineno, line_class in enumerate(source_map.classes, start=1):
             if line_class is LineClass.COMMENT:
                 anatomy.comment_lines.append(lineno)
                 continue
@@ -85,11 +83,10 @@ class SourceAnatomy:
                 continue  # classified separately
             if line_class is LineClass.MACRO_DEF:
                 anatomy.macro_lines.append(lineno)
-                region = info.macro
-                if region is not None and "_UNUSED_" in region.name:
+                if "_UNUSED_" in source_map.macro_at(lineno).name:
                     anatomy.unused_macro_lines.append(lineno)
                 continue
-            if line_class is LineClass.CODE and lineno <= len(lines):
+            if line_class is LineClass.CODE:
                 raw = lines[lineno - 1]
                 if raw.rstrip().endswith(";") and _INT_RE.search(raw):
                     anatomy.code_lines.append(lineno)

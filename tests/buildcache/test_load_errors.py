@@ -69,6 +69,19 @@ class TestLoadErrors:
         assert loaded.stats.load_errors == 1
         assert len(loaded._slots) == 0
 
+    def test_version_4_store_is_refused(self, tmp_path, caplog):
+        # v4 makefile payloads lack the lookups a KbuildMakefile now
+        # builds when it is made
+        with caplog.at_level("WARNING", logger="repro.buildcache"):
+            loaded = self.load_older(tmp_path, 4)
+        assert _PICKLE_VERSION == 5
+        assert loaded.stats.load_errors == 1
+        assert len(loaded._slots) == 0
+        warning = next(record for record in caplog.records
+                       if record.levelname == "WARNING")
+        assert "incompatible payload (version=4, expected 5)" in \
+            warning.getMessage()
+
     def test_non_dict_payload_counts(self, tmp_path):
         path = tmp_path / "list.cache"
         with open(path, "wb") as handle:

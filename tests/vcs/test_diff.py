@@ -1,5 +1,7 @@
 """Tests for unified diff generation, parsing, and application."""
 
+import sys
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -7,9 +9,12 @@ from repro.errors import PatchApplyError, PatchFormatError
 from repro.vcs.diff import (
     LineKind,
     Patch,
+    _SPACES,
+    _squeezed,
     apply_file_diff,
     diff_texts,
     parse_patch,
+    texts_differ,
 )
 
 OLD = """\
@@ -171,3 +176,27 @@ class TestHunkAccessors:
             if line.kind is LineKind.CONTEXT:
                 assert line.old_lineno is not None
                 assert line.new_lineno is not None
+
+
+class TestWhitespaceSqueeze:
+    def test_table_is_every_space_but_the_newline(self):
+        spaces = {chr(point) for point in range(sys.maxunicode + 1)
+                  if chr(point).isspace()}
+        assert set(_SPACES) == spaces - {"\n"}
+        assert len(_SPACES) == len(set(_SPACES)) == 28
+
+    def test_squeeze_removes_what_split_removes(self):
+        text = "\u3000a\x85b \tc\r\n\u2028\nd\xa0e"
+        assert _squeezed(text) == ["".join(line.split())
+                                   for line in text.split("\n")]
+
+    def test_final_line_is_decided_on_the_text(self):
+        # a last line of spaces squeezes to "" and is still a line
+        assert _squeezed("a\n  ") == ["a", ""]
+        assert _squeezed("a\n") == ["a"]
+        assert _squeezed("") == []
+        assert _squeezed(" ") == [""]
+        assert texts_differ("a\n", "a\n  ", ignore_whitespace=True)
+        assert diff_texts("f.c", "a\n", "a\n  ",
+                          ignore_whitespace=True) is not None
+        assert not texts_differ("a\n", " a\t\n", ignore_whitespace=True)

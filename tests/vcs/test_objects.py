@@ -38,23 +38,6 @@ class TestTree:
         assert updated["b.c"] == "2"
         assert updated["a.c"] == "1"
 
-    def test_without_files(self):
-        base = Tree({"a.c": "1", "b.c": "2"})
-        trimmed = base.without_files(["a.c"])
-        assert "a.c" not in trimmed
-        assert "b.c" in trimmed
-
-    def test_glob_by_suffix_and_prefix(self):
-        tree = Tree({
-            "drivers/net/a.c": "",
-            "drivers/net/a.h": "",
-            "fs/ext4/b.c": "",
-        })
-        assert tree.glob(suffix=".c") == ["drivers/net/a.c", "fs/ext4/b.c"]
-        assert tree.glob(prefix="drivers") == ["drivers/net/a.c",
-                                               "drivers/net/a.h"]
-        assert tree.glob(prefix="drivers/", suffix=".h") == ["drivers/net/a.h"]
-
     def test_iteration_is_sorted(self):
         tree = Tree({"z.c": "", "a.c": ""})
         assert list(tree) == ["a.c", "z.c"]
